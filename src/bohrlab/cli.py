@@ -422,7 +422,9 @@ def run(config, stdin_text=None):
             holo = family.from_json(_json.dumps(doc["holo"]))
             anti = family.from_json(_json.dumps(doc["anti"]))
         pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
-        res = radius.pluriharmonic_radius(pf, prm["p"], prm.get("t", math.inf), tol=tol)
+        res = radius.pluriharmonic_radius(
+            pf, prm["p"], prm.get("t", math.inf), tol=tol, seed=config.seed
+        )
         result = res.to_dict()
     elif cmd == "certify":
         cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])

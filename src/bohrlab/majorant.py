@@ -196,29 +196,28 @@ def powered_majorant_ball(
     exponents = alphas * (p / t)  # shape (terms, n)
     budget = r**t
 
-    def objective(u):
-        logs = np.log(np.maximum(u, 1e-300))
-        return float(coeffs @ np.exp(exponents @ logs))
+    exponents_t = exponents.T
 
-    def monomials(u):
-        logs = np.log(np.maximum(u, 1e-300))
-        return coeffs * np.exp(exponents @ logs)
+    def evaluate(u):
+        """(objective, per-term monomials) at u, from one exp/log pass."""
+        powers = np.exp(exponents @ np.log(np.maximum(u, 1e-300)))
+        return float(coeffs @ powers), coeffs * powers
 
     best_value = -1.0
     best_u = None
     converged_any = False
     for u in _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
         u = u.copy()
-        prev = objective(u)
+        cur, mono = evaluate(u)
+        prev = cur
         calm = 0
         for _ in range(max_iter):
-            mono = monomials(u)
-            w = exponents.T @ mono  # w_i = u_i * dF/du_i
+            w = exponents_t @ mono  # w_i = u_i * dF/du_i
             total_w = float(w.sum())
             if total_w <= 0.0:
                 break
             u = budget * w / total_w
-            cur = objective(u)
+            cur, mono = evaluate(u)
             if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
                 calm += 1
                 if calm >= patience:
@@ -227,7 +226,6 @@ def powered_majorant_ball(
             else:
                 calm = 0
             prev = cur
-        cur = objective(u)
         if cur > best_value or (
             cur == best_value and best_u is not None and tuple(u) > tuple(best_u)
         ):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bohrlab import family
+from bohrlab import family, radius
 from bohrlab.cli import (
     EXIT_RANGE,
     EXIT_TYPE,
@@ -84,6 +84,29 @@ def test_pluri_stdin():
     )
     code, out = run_cli(["pluri", "--p", "1"], stdin_text=payload)
     assert json.loads(out)["result"]["value"] == 1.0
+
+
+def test_pluri_honours_seed_on_ball():
+    holo = family.explicit(2, {(0, 3): 1.19, (2, 2): 1.39, (3, 2): 0.85})
+    anti = family.explicit(2, {(2, 0): 0.37, (3, 2): 1.22})
+    pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
+    want = radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=1).to_dict()
+    # the optimizer seed shows in the bracket, so the check can tell seeds apart
+    assert want != radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=0).to_dict()
+    payload = json.dumps(
+        {
+            "holo": json.loads(family.to_json(holo)),
+            "anti": json.loads(family.to_json(anti)),
+        }
+    )
+    code, out = run_cli(["pluri", "--p", "1", "--t", "2", "--seed", "1"], stdin_text=payload)
+    assert code == 0
+    assert json.loads(out)["result"] == want
+
+
+def test_residual_overflow_prints_inf(capsys):
+    assert main(["residual", "--n", "1000", "--p", "1.9", "--r", "0.99"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == "inf"
 
 
 def test_sweep_csv_format():

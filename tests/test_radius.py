@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from bohrlab import family
-from bohrlab.errors import ParameterError
-from bohrlab.majorant import DomainSpec, powered_majorant_polydisk
+from bohrlab.errors import ParameterError, TailDivergenceError
+from bohrlab.majorant import DomainSpec, powered_majorant_ball, powered_majorant_polydisk
 from bohrlab.radius import (
+    TOP_RADIUS,
     PluriharmonicFamily,
+    bisect_unit_crossing,
     exact_h2_radius,
     h2_defining_residual,
     pluriharmonic_radius,
@@ -41,6 +43,92 @@ def test_bisection_bracket_invariant():
     assert hi - lo <= 1e-10
     assert powered_majorant_polydisk(f, 1.0, lo).value <= 1.0
     assert powered_majorant_polydisk(f, 1.0, hi).value > 1.0
+
+
+def _bisection_evaluations(tol):
+    """Evaluations plain bisection makes: the top, each halving, the residual."""
+    return math.ceil(math.log2(TOP_RADIUS / tol)) + 2
+
+
+def test_bracket_invariant_on_ball_mixed_family():
+    f = family.explicit(3, {(1, 0, 0): 0.8, (1, 1, 0): 1.5, (0, 2, 1): 0.7, (0, 0, 1): 0.5})
+    res = solve_bohr_radius(f, 1.0, DomainSpec.lt_ball(2.0), tol=1e-10, seed=0)
+    lo, hi = res.bracket
+    assert res.method == "bisection"
+    assert hi - lo <= 1e-10 and lo <= res.value <= hi
+    assert powered_majorant_ball(f, 1.0, 2.0, lo, seed=0).value <= 1.0
+    assert powered_majorant_ball(f, 1.0, 2.0, hi, seed=0).value > 1.0
+
+
+def test_moebius_solves_in_few_evaluations():
+    res = solve_bohr_radius(family.moebius(0.5), 1.0, POLYDISK)
+    assert res.evaluations <= 16
+    assert res.value == pytest.approx(0.8, abs=1e-10)
+
+
+def test_moebius_evaluations_do_not_depend_on_the_crossing():
+    # without the minimum step, iterates landing on the crossing were followed
+    # by bisection of the far side: up to 22 evaluations near a = 0.89
+    counts = [
+        solve_bohr_radius(family.moebius(float(a)), 1.0, POLYDISK).evaluations
+        for a in np.linspace(0.05, 0.9, 86)
+    ]
+    assert max(counts) <= 14 and max(counts) - min(counts) <= 4
+
+
+@pytest.mark.parametrize("n, p", [(2, 0.27), (26, 0.2), (46, 0.26), (367, 0.25)])
+def test_convex_families_avoid_one_sided_creep(n, p):
+    # S(TOP) is 40 to 1e97 times the crossing value; plain regula falsi
+    # crept in from below and spent 19-36 evaluations
+    res = solve_bohr_radius(family.extremal_g(n, p), p, POLYDISK)
+    assert res.evaluations <= 16
+    assert res.value == pytest.approx(exact_h2_radius(n, p), abs=1e-10)
+
+
+def test_steep_family_stays_within_bisection_count():
+    f = family.extremal_g(10**5, 1.3)
+    res = solve_bohr_radius(f, 1.3, POLYDISK)
+    assert res.evaluations <= _bisection_evaluations(1e-10) + 3
+    assert res.value == pytest.approx(exact_h2_radius(10**5, 1.3), abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "above",
+    [lambda r: math.inf, lambda r: math.nan, "raise"],
+    ids=["inf", "nan", "tail_divergence"],
+)
+def test_non_finite_values_count_as_above_one(above):
+    # 2r up to 0.6, then non-finite: the crossing sits at r = 1/2
+    seen = []
+
+    def evaluate(r):
+        seen.append(r)
+        if r <= 0.6:
+            return 2.0 * r
+        if above == "raise":
+            raise TailDivergenceError("diverges")
+        return above(r)
+
+    res = bisect_unit_crossing(evaluate, tol=1e-10)
+    assert seen[1] == 0.5 * TOP_RADIUS  # midpoint step from an infinite end
+    lo, hi = res.bracket
+    assert hi - lo <= 1e-10 and lo <= 0.5 < hi
+    assert res.value == pytest.approx(0.5, abs=1e-10)
+    assert res.evaluations == len(seen) <= _bisection_evaluations(1e-10) + 1
+
+
+def test_tol_below_float_spacing_stops_at_adjacent_floats():
+    calls = []
+
+    def evaluate(r):
+        calls.append(r)
+        assert len(calls) < 200, "root finder does not terminate"
+        return powered_majorant_polydisk(family.moebius(0.5), 1.0, r).value
+
+    res = bisect_unit_crossing(evaluate, tol=1e-17)
+    lo, hi = res.bracket
+    assert math.nextafter(lo, 1.0) == hi
+    assert res.value == pytest.approx(0.8, abs=1e-15)
 
 
 def test_scaling_covariance():
@@ -77,6 +165,10 @@ def test_defining_residual():
         assert abs(h2_defining_residual(n, p, exact_h2_radius(n, p))) <= 1e-10
     assert h2_defining_residual(1, 1.0, 0.0) == -1.0
     assert h2_defining_residual(1, 1.0, 0.9) > 0.0
+
+
+def test_defining_residual_overflow_is_inf():
+    assert h2_defining_residual(1000, 1.9, 0.99) == math.inf
 
 
 def test_defining_residual_increasing_in_r():
