@@ -69,7 +69,7 @@ _FAMILY_PARAMS = {
     "fn": Param("int", check=_ge_one),
     "fq": Param("float", check=_ge_one, allow_inf=True),
     "alpha": Param("intlist"),
-    "trunc": Param("int", default=4 * family.DEFAULT_TRUNCATION, check=lambda x: x >= 0),
+    "trunc": Param("int", default=family.MOEBIUS_TRUNCATION, check=lambda x: x >= 0),
 }
 
 COMMANDS = {
@@ -347,7 +347,7 @@ def _resolve_family(params, p, stdin_text):
     if preset == "moebius":
         if "a" not in params:
             raise UsageError(EXIT_TYPE, "preset moebius needs --a")
-        return family.moebius(params["a"], params.get("trunc", 4 * family.DEFAULT_TRUNCATION))
+        return family.moebius(params["a"], params.get("trunc", family.MOEBIUS_TRUNCATION))
     if preset == "extremal-g":
         if "fn" not in params:
             raise UsageError(EXIT_TYPE, "preset extremal-g needs --fn")

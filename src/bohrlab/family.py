@@ -15,6 +15,7 @@ from . import multiindex
 from .errors import ParameterError, TailDivergenceError
 
 DEFAULT_TRUNCATION = 64
+MOEBIUS_TRUNCATION = 4 * DEFAULT_TRUNCATION
 
 
 def stable_half_root_gap(n):
@@ -100,8 +101,11 @@ class CoefficientFamily:
         """Map k -> sum of ||x_alpha||^p over explicit entries of degree k >= 1."""
         sums = {}
         for alpha, value in self.entries.items():
+            # the value test comes first: it skips summing a zero entry's index
+            if value == 0.0:
+                continue
             k = sum(alpha)
-            if k == 0 or value == 0.0:
+            if k == 0:
                 continue
             sums[k] = sums.get(k, 0.0) + value**p
         return sums
@@ -125,7 +129,7 @@ def explicit(dimension, entries, tail=None, label="explicit", certified=False):
     )
 
 
-def moebius(a, truncation=4 * DEFAULT_TRUNCATION):
+def moebius(a, truncation=MOEBIUS_TRUNCATION):
     """Coefficient norms of the disk automorphism (a - z)/(1 - a z).
 
     c_0 = a and c_k = (1 - a^2) a^(k-1) for k >= 1, sup-norm 1 on the disk.
@@ -237,7 +241,7 @@ def normalized_monomial(alpha, t):
 
 
 _PRESETS = {
-    "moebius": lambda **kw: moebius(kw["a"], kw.get("truncation", DEFAULT_TRUNCATION)),
+    "moebius": lambda **kw: moebius(kw["a"], kw.get("truncation", MOEBIUS_TRUNCATION)),
     "extremal_g": lambda **kw: extremal_g(kw["n"], kw["p"]),
     "linear_form": lambda **kw: linear_form(kw["n"], kw["q"], kw["t"]),
     "monomial": lambda **kw: normalized_monomial(kw["alpha"], kw["t"]),

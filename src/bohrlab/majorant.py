@@ -4,7 +4,8 @@ On the polydisk the sup separates (|z_i| = r termwise) and the value is
 exact, including the closed-form tail.  On an l_t ball the sup becomes a
 posynomial maximization over the simplex u_i = |z_i|^t, sum u_i = r^t,
 solved in closed form where one exists and by deterministic multistart
-multiplicative updates otherwise.
+multiplicative updates otherwise.  The starts advance together as the rows
+of one array, and each row stops at the update where its own run would.
 """
 
 import math
@@ -155,7 +156,8 @@ def powered_majorant_ball(
 
     A present tail is bounded by its polydisk closed form and added on top.
     Closed forms cover single monomials and pure degree-1 families; the rest
-    runs deterministic multistart multiplicative updates on the simplex.
+    runs deterministic multistart multiplicative updates on the simplex, all
+    starts in one batch.
     """
     if p <= 0:
         raise ParameterError(f"need p > 0, got {p}")
@@ -199,39 +201,57 @@ def powered_majorant_ball(
     exponents_t = exponents.T
 
     def evaluate(u):
-        """(objective, per-term monomials) at u, from one exp/log pass."""
-        powers = np.exp(exponents @ np.log(np.maximum(u, 1e-300)))
-        return float(coeffs @ powers), coeffs * powers
+        """(objectives, per-term monomials) of every row of u, from one exp/log pass."""
+        powers = np.exp(np.log(np.maximum(u, 1e-300)) @ exponents_t)
+        return powers @ coeffs, coeffs * powers
 
+    # All starts advance together as the rows of one array.  `rows` maps the
+    # rows still running to their starts; a row leaves at the update where
+    # its own run would stop, and its last iterate and value are kept.
+    u = np.array(_multistart_points(n, budget, alphas, coeffs, seed, n_starts))
+    final_u = np.empty_like(u)
+    final_value = np.empty(len(u))
+    converged = np.zeros(len(u), dtype=bool)
+    rows = np.arange(len(u))
+    cur, mono = evaluate(u)
+    calm = np.zeros(len(u), dtype=int)
+    for _ in range(max_iter):
+        if rows.size == 0:
+            break
+        w = mono @ exponents  # w_i = u_i * dF/du_i, per row
+        total_w = w.sum(axis=1)
+        stalled = total_w <= 0.0
+        if stalled.any():
+            final_u[rows[stalled]] = u[stalled]
+            final_value[rows[stalled]] = cur[stalled]
+            keep = ~stalled
+            rows, w, total_w, cur, calm = (a[keep] for a in (rows, w, total_w, cur, calm))
+        u = budget * w / total_w[:, None]
+        prev = cur
+        cur, mono = evaluate(u)
+        # objectives are nonnegative, so |cur| needs no abs
+        calm = (calm + 1) * (np.abs(cur - prev) <= rel_tol * np.maximum(cur, 1.0))
+        done = calm >= patience
+        if done.any():
+            converged[rows[done]] = True
+            final_u[rows[done]] = u[done]
+            final_value[rows[done]] = cur[done]
+            keep = ~done
+            rows, u, mono, cur, calm = (a[keep] for a in (rows, u, mono, cur, calm))
+    final_u[rows] = u
+    final_value[rows] = cur
+
+    # pick in start order: a larger value wins, a tie goes to the
+    # lexicographically larger point
     best_value = -1.0
     best_u = None
-    converged_any = False
-    for u in _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
-        u = u.copy()
-        cur, mono = evaluate(u)
-        prev = cur
-        calm = 0
-        for _ in range(max_iter):
-            w = exponents_t @ mono  # w_i = u_i * dF/du_i
-            total_w = float(w.sum())
-            if total_w <= 0.0:
-                break
-            u = budget * w / total_w
-            cur, mono = evaluate(u)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
-                calm += 1
-                if calm >= patience:
-                    converged_any = True
-                    break
-            else:
-                calm = 0
-            prev = cur
-        if cur > best_value or (
-            cur == best_value and best_u is not None and tuple(u) > tuple(best_u)
+    for value, row in zip(final_value.tolist(), final_u):
+        if value > best_value or (
+            value == best_value and best_u is not None and tuple(row) > tuple(best_u)
         ):
-            best_value = cur
-            best_u = u
-    if not converged_any:
+            best_value = value
+            best_u = row
+    if not converged.any():
         raise ConvergenceError(
             "ball maximizer did not converge on any start",
             best_value=best_value + tail_bound,

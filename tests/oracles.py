@@ -1,13 +1,17 @@
 """Independent oracles for the test suite.
 
 The grid oracle evaluates the ball majorant by dense simplex sampling plus
-SLSQP refinement and never touches the multiplicative-update path.
+SLSQP refinement and never touches the multiplicative-update path.  The
+serial ball optimizer runs the same multiplicative updates one start at a
+time, as a reference for the batched loop in `powered_majorant_ball`.
 """
 
 import numpy as np
 from scipy.optimize import minimize
 
 from bohrlab import explicit
+from bohrlab.errors import ConvergenceError
+from bohrlab.majorant import _multistart_points, _terms
 from bohrlab.multiindex import enumerate_degree
 
 
@@ -61,3 +65,57 @@ def grid_oracle_ball(f, p, t, r, grid=400):
     if res.success:
         best = max(best, -float(res.fun))
     return best
+
+
+def serial_ball_optimizer(
+    f, p, t, r, seed=0, n_starts=16, max_iter=100_000, rel_tol=1e-12, patience=50
+):
+    """(value, maximizer z) of the multistart updates, one start after another.
+
+    Covers families without a tail that reach the optimizer path of
+    `powered_majorant_ball`; raises `ConvergenceError` as it does.
+    """
+    alphas, coeffs = _terms(f, p)
+    n = f.dimension
+    exponents = alphas * (p / t)
+    budget = r**t
+
+    def evaluate(u):
+        powers = np.exp(exponents @ np.log(np.maximum(u, 1e-300)))
+        return float(coeffs @ powers), coeffs * powers
+
+    best_value = -1.0
+    best_u = None
+    converged_any = False
+    for u in _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
+        u = u.copy()
+        cur, mono = evaluate(u)
+        prev = cur
+        calm = 0
+        for _ in range(max_iter):
+            w = exponents.T @ mono
+            total_w = float(w.sum())
+            if total_w <= 0.0:
+                break
+            u = budget * w / total_w
+            cur, mono = evaluate(u)
+            if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
+                calm += 1
+                if calm >= patience:
+                    converged_any = True
+                    break
+            else:
+                calm = 0
+            prev = cur
+        if cur > best_value or (
+            cur == best_value and best_u is not None and tuple(u) > tuple(best_u)
+        ):
+            best_value = cur
+            best_u = u
+    if not converged_any:
+        raise ConvergenceError(
+            "ball maximizer did not converge on any start",
+            best_value=best_value,
+            best_point=None if best_u is None else tuple(best_u ** (1.0 / t)),
+        )
+    return best_value, tuple(float(ui) ** (1.0 / t) for ui in best_u)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bohrlab
 from bohrlab import family, radius
 from bohrlab.cli import (
     EXIT_RANGE,
@@ -162,6 +167,32 @@ def test_byte_identical_across_runs_and_thread_env(monkeypatch, capsys):
         monkeypatch.setenv("BOHR_LAB_THREADS", threads)
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_maximize_ball_byte_identical_across_blas_threads():
+    # a mixed l_2 family runs the batched multistart optimizer, whose
+    # matrix products go through BLAS
+    mixed = family.explicit(
+        3, {(0, 0, 1): 2.25, (0, 2, 1): 5.67, (1, 0, 2): 1.52, (1, 2, 1): 5.13}
+    )
+    argv = ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.44", "--seed", "3"]
+    outputs = []
+    for threads in ["1", "2"]:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(bohrlab.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "bohrlab.cli", *argv],
+            input=family.to_json(mixed),
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["result"]["exactness"] == "optimizer"
     assert outputs[0] == outputs[1]
 
 

@@ -5,7 +5,9 @@ import pytest
 
 from bohrlab import family
 from bohrlab.errors import ParameterError
+from bohrlab.majorant import DomainSpec
 from bohrlab.multiindex import count
+from bohrlab.radius import solve_bohr_radius
 
 
 def test_stable_half_root_gap():
@@ -107,6 +109,33 @@ def test_build_deterministic():
     a = family.build("moebius", a=0.3)
     b = family.build("moebius", a=0.3)
     assert a.entries == b.entries and a.tail == b.tail
+
+
+def test_build_moebius_uses_moebius_truncation():
+    a = 0.9
+    built = family.build("moebius", a=a)
+    assert built.entries == family.moebius(a).entries and built.tail == family.moebius(a).tail
+    res = solve_bohr_radius(built, 1.0, DomainSpec.polydisk())
+    assert res.value == pytest.approx(1.0 / (1.0 + a - a * a), abs=1e-10)
+
+
+def test_degree_power_sums_unchanged():
+    def reference(f, p):
+        sums = {}
+        for alpha, value in f.entries.items():
+            k = sum(alpha)
+            if k == 0 or value == 0.0:
+                continue
+            sums[k] = sums.get(k, 0.0) + value**p
+        return sums
+
+    g = family.extremal_g(10**4, 1.5)
+    assert g.degree_power_sums(1.5) == reference(g, 1.5) == {}
+    f = family.explicit(
+        3, {(0, 0, 0): 0.7, (1, 0, 0): 0.3, (0, 1, 1): 0.0, (1, 1, 0): 0.4, (0, 0, 2): 0.2}
+    )
+    for p in [0.5, 1.0, 1.7]:
+        assert f.degree_power_sums(p) == reference(f, p) == {1: 0.3**p, 2: 0.4**p + 0.2**p}
 
 
 def test_h2_norm_simple():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bohrlab import family, majorant
-from bohrlab.errors import ParameterError, TailDivergenceError
+from bohrlab.errors import ConvergenceError, ParameterError, TailDivergenceError
 from bohrlab.majorant import (
     DomainSpec,
     per_degree_l2,
@@ -12,7 +12,7 @@ from bohrlab.majorant import (
     powered_majorant_polydisk,
     torus_sup_lower_bound,
 )
-from oracles import grid_oracle_ball, random_sparse_family
+from oracles import grid_oracle_ball, random_sparse_family, serial_ball_optimizer
 
 Z_ONLY = family.explicit(1, {(1,): 1.0})
 
@@ -112,11 +112,59 @@ def test_ball_below_polydisk():
         assert ball <= poly + 1e-10
 
 
+def optimizer_cases(seed, count):
+    """Seeded (f, p, t, r) that reach the multistart optimizer, n in {2, 3, 4}."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(2, 5))
+        f = random_sparse_family(rng, n, int(rng.integers(2, 5)), int(rng.integers(2, 7)))
+        if len(f.entries) < 2 or all(sum(a) == 1 for a in f.entries):
+            continue  # closed-form paths
+        t = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+        p = float(rng.choice([0.5, 1.0, 1.5]))
+        cases.append((f, p, t, float(rng.uniform(0.2, 0.95))))
+    return cases
+
+
 def test_ball_deterministic_in_seed():
-    f = family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5})
-    a = powered_majorant_ball(f, 1.0, 2.0, 0.7, seed=3)
-    b = powered_majorant_ball(f, 1.0, 2.0, 0.7, seed=3)
-    assert a.value == b.value and a.maximizer == b.maximizer
+    fixed = family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5})
+    for f, p, t, r in [(fixed, 1.0, 2.0, 0.7)] + optimizer_cases(9, 10):
+        a = powered_majorant_ball(f, p, t, r, seed=3)
+        b = powered_majorant_ball(f, p, t, r, seed=3)
+        assert a.value == b.value and a.maximizer == b.maximizer
+
+
+def test_ball_batched_starts_match_serial_reference():
+    cases = optimizer_cases(20261018, 120)
+    assert {c[0].dimension for c in cases} == {2, 3, 4}
+    assert {c[2] for c in cases} == {1.0, 1.5, 2.0, 3.0}
+    for f, p, t, r in cases:
+        res = powered_majorant_ball(f, p, t, r)
+        want, _ = serial_ball_optimizer(f, p, t, r)
+        assert res.exactness == "optimizer"
+        assert abs(res.value - want) <= 1e-12 * want
+
+
+def test_ball_single_start_matches_serial_reference():
+    for f, p, t, r in optimizer_cases(5, 20):
+        res = powered_majorant_ball(f, p, t, r, n_starts=1)
+        want, _ = serial_ball_optimizer(f, p, t, r, n_starts=1)
+        assert abs(res.value - want) <= 1e-12 * want
+
+
+def test_ball_unconverged_raises_with_best_found():
+    cut_short = family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5})
+    # at r = 1e-60 every monomial underflows, so every start stops on zero weights
+    underflow = family.explicit(2, {(5, 3): 0.8, (3, 4): 0.3, (0, 6): 0.5})
+    for f, r, max_iter in [(cut_short, 0.7, 1), (underflow, 1e-60, 100_000)]:
+        with pytest.raises(ConvergenceError) as err:
+            powered_majorant_ball(f, 1.0, 2.0, r, max_iter=max_iter)
+        with pytest.raises(ConvergenceError) as ref:
+            serial_ball_optimizer(f, 1.0, 2.0, r, max_iter=max_iter)
+        assert err.value.best_value == pytest.approx(ref.value.best_value, rel=1e-12)
+        assert err.value.best_point == pytest.approx(ref.value.best_point, rel=1e-12)
+        assert len(err.value.best_point) == 2
 
 
 def test_torus_sampling_single_variable():
