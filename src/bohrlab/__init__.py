@@ -6,7 +6,6 @@ solvers, certified lower/witness upper bounds, and scaling-exponent sweeps.
 
 from .asymptotics import FitResult, SweepRecord, fit_exponent, h2_limit_check, sweep
 from .bounds import (
-    BoundPair,
     CertificateInput,
     ball_certificate,
     certified_lower_bound,
@@ -54,7 +53,6 @@ from .radius import (
 
 __all__ = [
     "AnalyticTail",
-    "BoundPair",
     "CertificateInput",
     "CoefficientFamily",
     "DomainSpec",

@@ -165,23 +165,8 @@ def coefficient_bound_check(f, t, slack=1e-12):
     return worst <= 1.0 + slack, worst
 
 
-@dataclass(frozen=True)
-class BoundPair:
-    lower: RadiusResult
-    upper: RadiusResult
-    config: tuple
-
-    def consistent(self):
-        return sandwich_check(self.lower, self.upper)
-
-
-def sandwich_check(lower, upper, lower_config=None, upper_config=None, dump=sys.stderr):
+def sandwich_check(lower, upper, dump=sys.stderr):
     """True iff lower.value <= upper.value + slack; dumps a diagnostic if not."""
-    if lower_config is not None and upper_config is not None:
-        if lower_config != upper_config:
-            raise ParameterError(
-                f"sandwich configs differ: {lower_config} vs {upper_config}"
-            )
     ok = lower.value <= upper.value + SANDWICH_SLACK
     if not ok and dump is not None:
         print(

@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 computational failure, 2 unknown command or key,
 3 type mismatch, 4 parameter out of range.
 """
 
+import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -51,105 +51,31 @@ def _positive(x):
     return x > 0
 
 
-def _open_unit(x):
-    return 0 < x < 2
-
-
-def _radius_range(x):
-    return 0 <= x < 1
-
-
 def _ge_one(x):
     return x >= 1
 
 
-_FAMILY_PARAMS = {
-    "preset": Param("str", choices=("moebius", "extremal-g", "linear-form", "monomial", "stdin")),
+def _nonnegative(x):
+    return x >= 0
+
+
+# specs that several commands share; _Q_2 and _C_1 are optional, default 2 and 1
+_N = Param("int", required=True, check=_ge_one)
+_P = Param("float", required=True, check=_positive)
+_P_H2 = Param("float", required=True, check=lambda x: 0 < x < 2)
+_Q = Param("float", required=True, check=_ge_one, allow_inf=True)
+_T = Param("float", default=math.inf, check=_ge_one, allow_inf=True)
+_R = Param("float", required=True, check=lambda x: 0 <= x < 1)
+_Q_2 = Param("float", default=2.0, check=_ge_one, allow_inf=True)
+_C_1 = Param("float", default=1.0, check=_nonnegative)
+
+_FAMILY = {
+    "preset": Param("str", choices=(*family.PRESETS, "stdin")),
     "a": Param("float", check=lambda x: 0 < x < 1),
     "fn": Param("int", check=_ge_one),
     "fq": Param("float", check=_ge_one, allow_inf=True),
     "alpha": Param("intlist"),
-    "trunc": Param("int", default=family.MOEBIUS_TRUNCATION, check=lambda x: x >= 0),
-}
-
-COMMANDS = {
-    "exact-h2": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_open_unit),
-    },
-    "residual": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_open_unit),
-        "r": Param("float", required=True, check=_radius_range),
-    },
-    "solve": {
-        "p": Param("float", required=True, check=_positive),
-        "t": Param("float", default=math.inf, check=_ge_one, allow_inf=True),
-        **_FAMILY_PARAMS,
-    },
-    "pluri": {
-        "p": Param("float", required=True, check=_positive),
-        "t": Param("float", default=math.inf, check=_ge_one, allow_inf=True),
-        **_FAMILY_PARAMS,
-    },
-    "certify": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_positive),
-        "q": Param("float", required=True, check=_ge_one, allow_inf=True),
-        "C": Param("float", required=True, check=lambda x: x >= 0),
-        "mode": Param("str", default="closed_form", choices=("closed_form", "numeric")),
-    },
-    "witness": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_positive),
-        "q": Param("float", required=True, check=_ge_one, allow_inf=True),
-        "t": Param("float", default=math.inf, check=_ge_one, allow_inf=True),
-    },
-    "coeff-check": {
-        "t": Param("float", required=True, check=_ge_one, allow_inf=True),
-        **_FAMILY_PARAMS,
-    },
-    "sandwich": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_open_unit),
-        "q": Param("float", default=2.0, check=_ge_one, allow_inf=True),
-        "C": Param("float", default=1.0, check=lambda x: x >= 0),
-    },
-    "maximize-ball": {
-        "p": Param("float", required=True, check=_positive),
-        "t": Param("float", required=True, check=lambda x: 1 <= x < math.inf),
-        "r": Param("float", required=True, check=_radius_range),
-        **_FAMILY_PARAMS,
-    },
-    "sweep": {
-        "generator": Param(
-            "str",
-            required=True,
-            choices=("exact-h2", "certify-closed", "certify-numeric", "witness"),
-        ),
-        "p": Param("float", required=True, check=_positive),
-        "q": Param("float", default=2.0, check=_ge_one, allow_inf=True),
-        "C": Param("float", default=1.0, check=lambda x: x >= 0),
-        "t": Param("float", default=math.inf, check=_ge_one, allow_inf=True),
-        "n-list": Param("intlist", required=True),
-    },
-    "fit": {
-        "generator": Param(
-            "str",
-            required=True,
-            choices=("exact-h2", "certify-closed", "certify-numeric", "witness"),
-        ),
-        "p": Param("float", required=True, check=_positive),
-        "q": Param("float", default=2.0, check=_ge_one, allow_inf=True),
-        "C": Param("float", default=1.0, check=lambda x: x >= 0),
-        "t": Param("float", default=math.inf, check=_ge_one, allow_inf=True),
-        "n-list": Param("intlist", required=True),
-        "model": Param("str", default="power", choices=("power", "log_power")),
-    },
-    "limit-check": {
-        "n": Param("int", required=True, check=_ge_one),
-        "p": Param("float", required=True, check=_open_unit),
-    },
+    "trunc": Param("int", default=family.MOEBIUS_TRUNCATION, check=_nonnegative),
 }
 
 _COMMON = {
@@ -158,21 +84,6 @@ _COMMON = {
     "tol": Param("float", check=_positive),
     "config": Param("str"),
 }
-
-HELP_LINES = [
-    "exact-h2       closed-form H^2 class radius (n, p < 2)",
-    "residual       defining-equation residual of the H^2 radius at r",
-    "solve          per-family radius by bisection on the powered majorant",
-    "pluri          pluriharmonic radius with doubled coefficient weights",
-    "certify        certified lower bound from a per-degree q-sum certificate",
-    "witness        linear-form witness upper bound on the class radius",
-    "coeff-check    ball coefficient bound check for certified presets",
-    "sandwich       lower certificate vs exact upper consistency",
-    "maximize-ball  powered majorant over an l_t ball at fixed radius",
-    "sweep          evaluate a generator over a list of dimensions (CSV/JSON)",
-    "fit            sweep plus log-log scaling-exponent fit",
-    "limit-check    limit-constant check for the H^2 radius",
-]
 
 
 def _convert(key, raw, spec):
@@ -231,7 +142,7 @@ def parse_config(argv):
         raise UsageError(EXIT_UNKNOWN, f"expected a command, got flag {command!r}")
     if command not in COMMANDS:
         raise UsageError(EXIT_UNKNOWN, f"unknown command: {command}")
-    specs = {**COMMANDS[command], **_COMMON}
+    specs = {**COMMANDS[command].params, **_COMMON}
 
     flag_raw = {}
     i = 1
@@ -338,29 +249,35 @@ def emit_sweep_csv(records):
     return "\n".join(lines) + "\n"
 
 
-def _resolve_family(params, p, stdin_text):
-    preset = params.get("preset")
-    if preset is None or preset == "stdin":
-        if stdin_text is None or not stdin_text.strip():
-            raise UsageError(EXIT_TYPE, "no --preset given and no family JSON on stdin")
-        return family.from_json(stdin_text)
-    if preset == "moebius":
-        if "a" not in params:
-            raise UsageError(EXIT_TYPE, "preset moebius needs --a")
-        return family.moebius(params["a"], params.get("trunc", family.MOEBIUS_TRUNCATION))
-    if preset == "extremal-g":
-        if "fn" not in params:
-            raise UsageError(EXIT_TYPE, "preset extremal-g needs --fn")
-        return family.extremal_g(params["fn"], p)
-    if preset == "linear-form":
-        if "fn" not in params or "fq" not in params:
-            raise UsageError(EXIT_TYPE, "preset linear-form needs --fn and --fq")
-        return family.linear_form(params["fn"], params["fq"], params.get("t", math.inf))
-    if preset == "monomial":
-        if "alpha" not in params:
-            raise UsageError(EXIT_TYPE, "preset monomial needs --alpha")
-        return family.normalized_monomial(tuple(params["alpha"]), params.get("t", math.inf))
-    raise UsageError(EXIT_RANGE, f"unknown preset: {preset}")
+def _stdin_json(stdin_text, missing, parse):
+    """parse(stdin_text); blank stdin or malformed family JSON exits 3."""
+    if stdin_text is None or not stdin_text.strip():
+        raise UsageError(EXIT_TYPE, missing)
+    try:
+        return parse(stdin_text)
+    except ParameterError:
+        raise  # well-formed but out of range: exit 4
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise UsageError(EXIT_TYPE, f"malformed family JSON on stdin: {exc!r}") from exc
+
+
+def _family(prm, stdin_text):
+    """The family --preset names, or the family JSON on stdin."""
+    name = prm.get("preset", "stdin")
+    if name == "stdin":
+        return _stdin_json(
+            stdin_text, "no --preset given and no family JSON on stdin", family.from_json
+        )
+    preset = family.PRESETS[name]
+    if any(key not in prm for key in preset.needs):
+        flags = " and ".join(f"--{key}" for key in preset.needs)
+        raise UsageError(EXIT_TYPE, f"preset {name} needs {flags}")
+    return preset.make(prm)
+
+
+def _holo_anti(text):
+    doc = json.loads(text)
+    return tuple(family.from_json(json.dumps(doc[part])) for part in ("holo", "anti"))
 
 
 def _config_echo(config):
@@ -372,154 +289,236 @@ def _config_echo(config):
     return doc
 
 
-_SWEEP_GENERATORS = {
-    "exact-h2": lambda prm: (lambda n: radius.exact_h2_radius(n, prm["p"])),
-    "certify-closed": lambda prm: (
-        lambda n: bounds.certified_lower_bound(
-            bounds.CertificateInput(n=n, p=prm["p"], q=prm["q"], C=prm["C"]),
-            mode="closed_form",
-        ).value
-    ),
-    "certify-numeric": lambda prm: (
-        lambda n: bounds.certified_lower_bound(
-            bounds.CertificateInput(n=n, p=prm["p"], q=prm["q"], C=prm["C"]),
-            mode="numeric",
-        ).value
-    ),
-    "witness": lambda prm: (
-        lambda n: bounds.witness_upper_linear_form(n, prm["p"], prm["q"], prm["t"]).value
-    ),
+def _tol(config):
+    return config.tol if config.tol is not None else radius.DEFAULT_TOL
+
+
+def _certifier(mode):
+    return lambda prm: lambda n: bounds.certified_lower_bound(
+        bounds.CertificateInput(n=n, p=prm["p"], q=prm["q"], C=prm["C"]), mode=mode
+    ).value
+
+
+_GENERATORS = {
+    "exact-h2": lambda prm: lambda n: radius.exact_h2_radius(n, prm["p"]),
+    "certify-closed": _certifier("closed_form"),
+    "certify-numeric": _certifier("numeric"),
+    "witness": lambda prm: lambda n: bounds.witness_upper_linear_form(
+        n, prm["p"], prm["q"], prm["t"]
+    ).value,
 }
+
+_SWEEP = {
+    "generator": Param("str", required=True, choices=tuple(_GENERATORS)),
+    "p": _P,
+    "q": _Q_2,
+    "C": _C_1,
+    "t": _T,
+    "n-list": Param("intlist", required=True),
+}
+
+
+def _records(prm):
+    gen = _GENERATORS[prm["generator"]](prm)
+    gen_params = {k: prm[k] for k in ("p", "q", "t")}
+    return asymptotics.sweep(gen, prm["n-list"], label=prm["generator"], params=gen_params)
+
+
+@dataclass(frozen=True)
+class Command:
+    params: dict  # key -> Param, besides the _COMMON keys every command takes
+    help_line: str
+    handler: object  # (config, stdin_text) -> result document or stdout text
+
+
+COMMANDS = {}
+
+
+def _command(name, help_line, **params):
+    """Declare a command, its --help line and its parameters; the decorated
+    handler returns the result document, or the finished stdout text when
+    the output is not JSON."""
+
+    def declare(handler):
+        COMMANDS[name] = Command(params, help_line, handler)
+        return handler
+
+    return declare
+
+
+@_command("exact-h2", "closed-form H^2 class radius (n, p < 2)", n=_N, p=_P_H2)
+def _exact_h2(config, stdin_text):
+    return {"value": radius.exact_h2_radius(config.params["n"], config.params["p"])}
+
+
+@_command("residual", "defining-equation residual of the H^2 radius at r", n=_N, p=_P_H2, r=_R)
+def _residual(config, stdin_text):
+    prm = config.params
+    return {"value": radius.h2_defining_residual(prm["n"], prm["p"], prm["r"])}
+
+
+@_command("solve", "per-family radius by bisection on the powered majorant", p=_P, t=_T, **_FAMILY)
+def _solve(config, stdin_text):
+    prm = config.params
+    f = _family(prm, stdin_text)
+    domain = majorant.DomainSpec.from_t(prm["t"])
+    res = radius.solve_bohr_radius(f, prm["p"], domain, tol=_tol(config), seed=config.seed)
+    return res.to_dict()
+
+
+@_command("pluri", "pluriharmonic radius with doubled coefficient weights", p=_P, t=_T, **_FAMILY)
+def _pluri(config, stdin_text):
+    prm = config.params
+    if prm.get("preset", "stdin") != "stdin":
+        holo = _family(prm, None)
+        anti = family.explicit(holo.dimension, {}, label="zero")
+    else:
+        holo, anti = _stdin_json(stdin_text, "pluri needs a preset or stdin JSON", _holo_anti)
+    pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
+    res = radius.pluriharmonic_radius(pf, prm["p"], prm["t"], tol=_tol(config), seed=config.seed)
+    return res.to_dict()
+
+
+@_command(
+    "certify",
+    "certified lower bound from a per-degree q-sum certificate",
+    n=_N,
+    p=_P,
+    q=_Q,
+    C=Param("float", required=True, check=_nonnegative),
+    mode=Param("str", default="closed_form", choices=("closed_form", "numeric")),
+)
+def _certify(config, stdin_text):
+    prm = config.params
+    cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])
+    return bounds.certified_lower_bound(cert, mode=prm["mode"]).to_dict()
+
+
+@_command("witness", "linear-form witness upper bound on the class radius", n=_N, p=_P, q=_Q, t=_T)
+def _witness(config, stdin_text):
+    prm = config.params
+    return bounds.witness_upper_linear_form(prm["n"], prm["p"], prm["q"], prm["t"]).to_dict()
+
+
+@_command(
+    "coeff-check",
+    "ball coefficient bound check for certified presets",
+    t=Param("float", required=True, check=_ge_one, allow_inf=True),
+    **_FAMILY,
+)
+def _coeff_check(config, stdin_text):
+    # the check does not depend on p; extremal-g is built for p = 1
+    f = _family({"p": 1.0, **config.params}, stdin_text)
+    ok, worst = bounds.coefficient_bound_check(f, config.params["t"])
+    return {"ok": ok, "worst_ratio": worst}
+
+
+@_command(
+    "sandwich", "lower certificate vs exact upper consistency", n=_N, p=_P_H2, q=_Q_2, C=_C_1
+)
+def _sandwich(config, stdin_text):
+    prm = config.params
+    cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])
+    lower_cf = bounds.certified_lower_bound(cert, mode="closed_form")
+    lower_num = bounds.certified_lower_bound(cert, mode="numeric")
+    upper_value = radius.exact_h2_radius(prm["n"], prm["p"])
+    upper = radius.RadiusResult(
+        value=upper_value, method="closed_form", residual=0.0,
+        bracket=(upper_value, upper_value),
+    )
+    return {
+        "lower_closed_form": lower_cf.to_dict(),
+        "lower_numeric": lower_num.to_dict(),
+        "upper": upper.to_dict(),
+        "ok": bounds.sandwich_check(lower_cf, upper)
+        and bounds.sandwich_check(lower_num, upper),
+    }
+
+
+@_command(
+    "maximize-ball",
+    "powered majorant over an l_t ball at fixed radius",
+    p=_P,
+    t=Param("float", required=True, check=lambda x: 1 <= x < math.inf),
+    r=_R,
+    **_FAMILY,
+)
+def _maximize_ball(config, stdin_text):
+    prm = config.params
+    f = _family(prm, stdin_text)
+    mv = majorant.powered_majorant_ball(f, prm["p"], prm["t"], prm["r"], seed=config.seed)
+    return {
+        "value": mv.value,
+        "exactness": mv.exactness,
+        "maximizer": None if mv.maximizer is None else list(mv.maximizer),
+    }
+
+
+@_command("sweep", "evaluate a generator over a list of dimensions (CSV/JSON)", **_SWEEP)
+def _sweep(config, stdin_text):
+    records = _records(config.params)
+    if config.output == "csv":
+        return emit_sweep_csv(records)
+    return {"records": [[rec.n, rec.value] for rec in records]}
+
+
+@_command(
+    "fit",
+    "sweep plus log-log scaling-exponent fit",
+    **_SWEEP,
+    model=Param("str", default="power", choices=("power", "log_power")),
+)
+def _fit(config, stdin_text):
+    records = _records(config.params)
+    fit = asymptotics.fit_exponent(records, model=config.params["model"])
+    return {
+        "exponent": fit.exponent,
+        "constant": fit.constant,
+        "model": fit.model,
+        "r_squared": fit.r_squared,
+        "window": list(fit.window),
+        "records": [[rec.n, rec.value] for rec in records],
+    }
+
+
+@_command("limit-check", "limit-constant check for the H^2 radius", n=_N, p=_P_H2)
+def _limit_check(config, stdin_text):
+    lhs, rhs, rel_err = asymptotics.h2_limit_check(config.params["p"], config.params["n"])
+    return {"lhs": lhs, "rhs": rhs, "rel_err": rel_err}
+
+
+USAGE = "usage: bohr-lab COMMAND [--key value ...]\n\n" + "".join(
+    f"{name:<15}{command.help_line}\n" for name, command in COMMANDS.items()
+)
 
 
 def run(config, stdin_text=None):
     """Dispatch the resolved config; returns (exit_code, stdout_text)."""
-    prm = config.params
-    tol = config.tol if config.tol is not None else radius.DEFAULT_TOL
-    cmd = config.command
-    result = None
-    records = None
-
-    if cmd == "exact-h2":
-        result = {"value": radius.exact_h2_radius(prm["n"], prm["p"])}
-    elif cmd == "residual":
-        result = {"value": radius.h2_defining_residual(prm["n"], prm["p"], prm["r"])}
-    elif cmd == "solve":
-        f = _resolve_family(prm, prm["p"], stdin_text)
-        domain = majorant.DomainSpec.from_t(prm.get("t", math.inf))
-        res = radius.solve_bohr_radius(f, prm["p"], domain, tol=tol, seed=config.seed)
-        result = res.to_dict()
-    elif cmd == "pluri":
-        if prm.get("preset") not in (None, "stdin"):
-            holo = _resolve_family(prm, prm["p"], None)
-            anti = family.explicit(holo.dimension, {}, label="zero")
-        else:
-            import json as _json
-
-            if stdin_text is None or not stdin_text.strip():
-                raise UsageError(EXIT_TYPE, "pluri needs a preset or stdin JSON")
-            doc = _json.loads(stdin_text)
-            holo = family.from_json(_json.dumps(doc["holo"]))
-            anti = family.from_json(_json.dumps(doc["anti"]))
-        pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
-        res = radius.pluriharmonic_radius(
-            pf, prm["p"], prm.get("t", math.inf), tol=tol, seed=config.seed
-        )
-        result = res.to_dict()
-    elif cmd == "certify":
-        cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])
-        res = bounds.certified_lower_bound(cert, mode=prm["mode"])
-        result = res.to_dict()
-    elif cmd == "witness":
-        res = bounds.witness_upper_linear_form(prm["n"], prm["p"], prm["q"], prm["t"])
-        result = res.to_dict()
-    elif cmd == "coeff-check":
-        f = _resolve_family(prm, 1.0, stdin_text)
-        ok, worst = bounds.coefficient_bound_check(f, prm["t"])
-        result = {"ok": ok, "worst_ratio": worst}
-    elif cmd == "sandwich":
-        cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])
-        lower_cf = bounds.certified_lower_bound(cert, mode="closed_form")
-        lower_num = bounds.certified_lower_bound(cert, mode="numeric")
-        upper_value = radius.exact_h2_radius(prm["n"], prm["p"])
-        upper = radius.RadiusResult(
-            value=upper_value, method="closed_form", residual=0.0,
-            bracket=(upper_value, upper_value),
-        )
-        result = {
-            "lower_closed_form": lower_cf.to_dict(),
-            "lower_numeric": lower_num.to_dict(),
-            "upper": upper.to_dict(),
-            "ok": bounds.sandwich_check(lower_cf, upper)
-            and bounds.sandwich_check(lower_num, upper),
-        }
-    elif cmd == "maximize-ball":
-        f = _resolve_family(prm, prm["p"], stdin_text)
-        mv = majorant.powered_majorant_ball(
-            f, prm["p"], prm["t"], prm["r"], seed=config.seed
-        )
-        result = {
-            "value": mv.value,
-            "exactness": mv.exactness,
-            "maximizer": None if mv.maximizer is None else list(mv.maximizer),
-        }
-    elif cmd in ("sweep", "fit"):
-        gen = _SWEEP_GENERATORS[prm["generator"]](prm)
-        gen_params = {k: prm.get(k) for k in ("p", "q", "t") if k in prm}
-        records = asymptotics.sweep(
-            gen, prm["n-list"], label=prm["generator"], params=gen_params
-        )
-        if cmd == "fit":
-            fit = asymptotics.fit_exponent(records, model=prm["model"])
-            result = {
-                "exponent": fit.exponent,
-                "constant": fit.constant,
-                "model": fit.model,
-                "r_squared": fit.r_squared,
-                "window": list(fit.window),
-                "records": [[rec.n, rec.value] for rec in records],
-            }
-        else:
-            result = {"records": [[rec.n, rec.value] for rec in records]}
-    elif cmd == "limit-check":
-        lhs, rhs, rel_err = asymptotics.h2_limit_check(prm["p"], prm["n"])
-        result = {"lhs": lhs, "rhs": rhs, "rel_err": rel_err}
-    else:  # pragma: no cover - parse_config rejects unknown commands
-        raise UsageError(EXIT_UNKNOWN, f"unknown command: {cmd}")
-
-    if cmd == "sweep" and config.output == "csv":
-        return EXIT_OK, emit_sweep_csv(records)
-    doc = {"command": cmd, "config": _config_echo(config), "result": result}
+    result = COMMANDS[config.command].handler(config, stdin_text)
+    if isinstance(result, str):
+        return EXIT_OK, result
+    doc = {"command": config.command, "config": _config_echo(config), "result": result}
     return EXIT_OK, emit_json(doc)
-
-
-def _threads_cap():
-    raw = os.environ.get("BOHR_LAB_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(EXIT_TYPE, f"BOHR_LAB_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise UsageError(EXIT_RANGE, f"BOHR_LAB_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def main(argv=None, stdin_text=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        _threads_cap()  # computation is sequential; the cap is validated only
         config = parse_config(argv)
     except UsageError as exc:
         if exc.code == EXIT_OK:
-            print("usage: bohr-lab COMMAND [--key value ...]\n", file=sys.stdout)
-            print("\n".join(HELP_LINES), file=sys.stdout)
+            sys.stdout.write(USAGE)
             return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     try:
-        if stdin_text is None and config.command in ("solve", "pluri", "maximize-ball", "coeff-check"):
-            if config.params.get("preset") in (None, "stdin"):
-                stdin_text = sys.stdin.read()
+        # a command that takes --preset reads its family from stdin without one
+        if (
+            stdin_text is None
+            and "preset" in COMMANDS[config.command].params
+            and config.params.get("preset", "stdin") == "stdin"
+        ):
+            stdin_text = sys.stdin.read()
         code, out = run(config, stdin_text=stdin_text)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

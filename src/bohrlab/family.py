@@ -240,20 +240,33 @@ def normalized_monomial(alpha, t):
     )
 
 
-_PRESETS = {
-    "moebius": lambda **kw: moebius(kw["a"], kw.get("truncation", MOEBIUS_TRUNCATION)),
-    "extremal_g": lambda **kw: extremal_g(kw["n"], kw["p"]),
-    "linear_form": lambda **kw: linear_form(kw["n"], kw["q"], kw["t"]),
-    "monomial": lambda **kw: normalized_monomial(kw["alpha"], kw["t"]),
-    "explicit": lambda **kw: explicit(kw["dimension"], kw["entries"]),
+@dataclass(frozen=True)
+class Preset:
+    """A named family: the parameters a caller must give, and a builder that
+    takes them in one dict, along with the exponent "p" (extremal-g) and the
+    domain exponent "t" (linear-form and monomial; default inf)."""
+
+    needs: tuple
+    make: object  # params dict -> CoefficientFamily
+
+
+PRESETS = {
+    "moebius": Preset(("a",), lambda kw: moebius(kw["a"], kw.get("trunc", MOEBIUS_TRUNCATION))),
+    "extremal-g": Preset(("fn",), lambda kw: extremal_g(kw["fn"], kw["p"])),
+    "linear-form": Preset(
+        ("fn", "fq"), lambda kw: linear_form(kw["fn"], kw["fq"], kw.get("t", math.inf))
+    ),
+    "monomial": Preset(
+        ("alpha",), lambda kw: normalized_monomial(tuple(kw["alpha"]), kw.get("t", math.inf))
+    ),
 }
 
 
 def build(preset, **params):
-    """Construct one of the named presets; see _PRESETS for the parameter sets."""
-    if preset not in _PRESETS:
+    """Construct the named preset; see PRESETS for the parameters each takes."""
+    if preset not in PRESETS:
         raise ParameterError(f"unknown preset: {preset}")
-    return _PRESETS[preset](**params)
+    return PRESETS[preset].make(params)
 
 
 def rescale(f, sigma):

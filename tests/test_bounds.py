@@ -126,5 +126,3 @@ def test_sandwich():
     assert sandwich_check(lower, upper)
     assert sandwich_check(upper, upper)  # equal values pass
     assert not sandwich_check(upper, lower, dump=None)
-    with pytest.raises(ParameterError):
-        sandwich_check(lower, upper, lower_config=(1, 1.0), upper_config=(2, 1.0))

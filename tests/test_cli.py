@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import family, radius
+from bohrlab import family, majorant, radius
 from bohrlab.cli import (
     EXIT_RANGE,
     EXIT_TYPE,
@@ -96,8 +97,6 @@ def test_pluri_honours_seed_on_ball():
     anti = family.explicit(2, {(2, 0): 0.37, (3, 2): 1.22})
     pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
     want = radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=1).to_dict()
-    # the optimizer seed shows in the bracket, so the check can tell seeds apart
-    assert want != radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=0).to_dict()
     payload = json.dumps(
         {
             "holo": json.loads(family.to_json(holo)),
@@ -107,6 +106,49 @@ def test_pluri_honours_seed_on_ball():
     code, out = run_cli(["pluri", "--p", "1", "--t", "2", "--seed", "1"], stdin_text=payload)
     assert code == 0
     assert json.loads(out)["result"] == want
+
+
+BALL_JSON = family.to_json(family.explicit(2, {(1, 0): 0.4, (1, 1): 0.8}))
+PLURI_BALL_JSON = json.dumps({"holo": json.loads(BALL_JSON), "anti": json.loads(BALL_JSON)})
+
+
+@pytest.mark.parametrize(
+    "owner, name, argv, stdin_text",
+    [
+        (radius, "solve_bohr_radius", ["solve", "--p", "1", "--t", "2"], BALL_JSON),
+        (radius, "pluriharmonic_radius", ["pluri", "--p", "1", "--t", "2"], PLURI_BALL_JSON),
+        (majorant, "powered_majorant_ball", ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.5"], BALL_JSON),
+    ],
+    ids=["solve", "pluri", "maximize-ball"],
+)
+def test_seed_reaches_the_library(monkeypatch, owner, name, argv, stdin_text):
+    real = getattr(owner, name)
+    seeds = []
+
+    def spy(*args, **kwargs):
+        seeds.append(inspect.signature(real).bind(*args, **kwargs).arguments["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    code, _ = run_cli([*argv, "--seed", "12345"], stdin_text=stdin_text)
+    assert code == 0 and seeds == [12345]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "1"],
+        ["pluri", "--p", "1"],
+        ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.5"],
+        ["coeff-check", "--t", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("stdin_text", ["nope", '{"dimension": 1}', '{"holo": 1}'])
+def test_malformed_family_json_exits_3(capsys, argv, stdin_text):
+    assert main(argv, stdin_text=stdin_text) == EXIT_TYPE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_residual_overflow_prints_inf(capsys):
