@@ -16,13 +16,11 @@ from .bounds import (
 from .family import (
     AnalyticTail,
     CoefficientFamily,
-    LqVector,
     build,
     explicit,
     extremal_g,
     h2_norm,
     linear_form,
-    lq_norm,
     moebius,
     normalized_monomial,
     rescale,
@@ -57,7 +55,6 @@ __all__ = [
     "CoefficientFamily",
     "DomainSpec",
     "FitResult",
-    "LqVector",
     "MajorantValue",
     "PluriharmonicFamily",
     "RadiusResult",
@@ -76,7 +73,6 @@ __all__ = [
     "h2_limit_check",
     "h2_norm",
     "linear_form",
-    "lq_norm",
     "moebius",
     "multinomial_identity_residual",
     "multinomial_weight",

@@ -10,6 +10,10 @@ from .errors import NotCertifiedError, ParameterError
 from .radius import RadiusResult, TOP_RADIUS
 
 SANDWICH_SLACK = 1e-12
+COEFFICIENT_SLACK = 1e-12
+# the numeric certificate bisects to this width, summing at most this many terms
+CERTIFICATE_TOL = 1e-12
+CERTIFICATE_MAX_TERMS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ def _log_count(n, k):
     return math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)
 
 
-def certified_lower_bound(cert, mode="closed_form", tol=1e-12, max_terms=1_000_000):
+def certified_lower_bound(cert, mode="closed_form"):
     """A radius valid for every family satisfying the certificate hypothesis.
 
     closed_form: 1 / (2^(1/p) (2e)^(1/p-1/q) C n^(1/p-1/q)), the explicit
@@ -78,7 +82,7 @@ def certified_lower_bound(cert, mode="closed_form", tol=1e-12, max_terms=1_000_0
         log_cr_p = p * math.log(c * r) if r > 0 else -math.inf
         total = 0.0
         prev = math.inf
-        for k in range(1, max_terms + 1):
+        for k in range(1, CERTIFICATE_MAX_TERMS + 1):
             term = math.exp(k * log_cr_p + frac * _log_count(n, k))
             total += term
             if total > 4.0:
@@ -105,7 +109,7 @@ def certified_lower_bound(cert, mode="closed_form", tol=1e-12, max_terms=1_000_0
             evaluations=evals,
         )
     lo, hi = 0.0, min(TOP_RADIUS, (1.0 - 1e-12) / c)
-    while hi - lo > tol:
+    while hi - lo > CERTIFICATE_TOL:
         mid = 0.5 * (lo + hi)
         if evaluate(mid) <= 1.0:
             lo = mid
@@ -141,7 +145,7 @@ def witness_upper_linear_form(n, p, q, t):
     )
 
 
-def coefficient_bound_check(f, t, slack=1e-12):
+def coefficient_bound_check(f, t):
     """Check every entry against the ball bound e^(k/t) (k!/alpha!)^(1/t).
 
     Only families constructed with a sup-norm <= 1 certificate are accepted.
@@ -162,16 +166,17 @@ def coefficient_bound_check(f, t, slack=1e-12):
         log_bound = inv_t * (k + math.log(multiindex.multinomial_weight(alpha)))
         ratio = value / math.exp(log_bound)
         worst = max(worst, ratio)
-    return worst <= 1.0 + slack, worst
+    return worst <= 1.0 + COEFFICIENT_SLACK, worst
 
 
-def sandwich_check(lower, upper, dump=sys.stderr):
-    """True iff lower.value <= upper.value + slack; dumps a diagnostic if not."""
+def sandwich_check(lower, upper):
+    """True iff lower.value <= upper.value + slack; prints a diagnostic to
+    stderr if not."""
     ok = lower.value <= upper.value + SANDWICH_SLACK
-    if not ok and dump is not None:
+    if not ok:
         print(
             "sandwich violation:"
             f" lower={lower.to_dict()} upper={upper.to_dict()}",
-            file=dump,
+            file=sys.stderr,
         )
     return ok

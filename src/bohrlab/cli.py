@@ -81,9 +81,11 @@ _FAMILY = {
 _COMMON = {
     "seed": Param("int", default=0, check=lambda x: 0 <= x < 2**64),
     "output": Param("str", default="json", choices=("json", "csv")),
-    "tol": Param("float", check=_positive),
     "config": Param("str"),
 }
+
+# solve and pluri find a radius; only they take --tol, the root finder's bracket width
+_SOLVE = {"p": _P, "t": _T, **_FAMILY, "tol": Param("float", check=_positive)}
 
 
 def _convert(key, raw, spec):
@@ -184,7 +186,7 @@ def parse_config(argv):
             resolved[key] = value
         elif spec.required:
             raise UsageError(EXIT_TYPE, f"missing required --{key} for {command}")
-        elif spec.default is not None or key in ("tol",):
+        elif spec.default is not None:
             resolved[key] = spec.default
 
     config = RunConfig(
@@ -357,7 +359,7 @@ def _residual(config, stdin_text):
     return {"value": radius.h2_defining_residual(prm["n"], prm["p"], prm["r"])}
 
 
-@_command("solve", "per-family radius by bisection on the powered majorant", p=_P, t=_T, **_FAMILY)
+@_command("solve", "per-family radius by bisection on the powered majorant", **_SOLVE)
 def _solve(config, stdin_text):
     prm = config.params
     f = _family(prm, stdin_text)
@@ -366,7 +368,7 @@ def _solve(config, stdin_text):
     return res.to_dict()
 
 
-@_command("pluri", "pluriharmonic radius with doubled coefficient weights", p=_P, t=_T, **_FAMILY)
+@_command("pluri", "pluriharmonic radius with doubled coefficient weights", **_SOLVE)
 def _pluri(config, stdin_text):
     prm = config.params
     if prm.get("preset", "stdin") != "stdin":

@@ -1,21 +1,22 @@
 """Coefficient families: the scalar-norm view of f(z) = sum x_alpha z^alpha.
 
 A family stores the norms ||x_alpha|| for |alpha| <= truncation_degree and
-optionally an analytic tail covering every higher degree.  Tail kind
-"geometric_uniform" puts the value v^k on every multi-index of degree k,
-which is exactly the structure of the uniform extremal family, so that
-family needs no explicit entries at all.
+optionally an analytic tail covering every higher degree.  The tail puts
+the value v^k on every multi-index of degree k, which is exactly the
+structure of the uniform extremal family, so that family needs no explicit
+entries at all.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import multiindex
 from .errors import ParameterError, TailDivergenceError
 
-DEFAULT_TRUNCATION = 64
-MOEBIUS_TRUNCATION = 4 * DEFAULT_TRUNCATION
+MOEBIUS_TRUNCATION = 256
+# the one tail model; JSON names it, and from_json refuses any other name
+TAIL_KIND = "geometric_uniform"
 
 
 def stable_half_root_gap(n):
@@ -37,38 +38,10 @@ class AnalyticTail:
     """Per-degree model v^k on every index of degree k, for all k > K."""
 
     parameter: float
-    kind: str = "geometric_uniform"
 
     def __post_init__(self):
-        if self.kind != "geometric_uniform":
-            raise ParameterError(f"unknown tail kind: {self.kind}")
         if not 0.0 <= self.parameter < 1.0:
             raise ParameterError(f"tail parameter must be in [0,1), got {self.parameter}")
-
-
-@dataclass(frozen=True)
-class LqVector:
-    coordinates: tuple
-    q: float
-
-    def __post_init__(self):
-        if not (self.q >= 1.0):
-            raise ParameterError(f"q must be >= 1, got {self.q}")
-
-    def norm(self):
-        return lq_norm(self.coordinates, self.q)
-
-
-def lq_norm(coordinates, q):
-    """The l_q norm of a coordinate vector; q = inf gives the max modulus."""
-    if not (q >= 1.0):
-        raise ParameterError(f"q must be >= 1, got {q}")
-    mods = [abs(c) for c in coordinates]
-    if not mods:
-        return 0.0
-    if math.isinf(q):
-        return max(mods)
-    return sum(m**q for m in mods) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -79,7 +52,6 @@ class CoefficientFamily:
     tail: AnalyticTail | None = None
     label: str = ""
     sup_norm_certified: bool = False
-    payload: dict | None = None  # optional multi-index -> LqVector witnesses
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -109,6 +81,14 @@ class CoefficientFamily:
                 continue
             sums[k] = sums.get(k, 0.0) + value**p
         return sums
+
+    def tail_block(self, s):
+        """sum_{k > truncation_degree} C(n+k-1,k) s^k, for 0 <= s < 1: the tail's
+        degree blocks, each index of degree k weighted s^k."""
+        total = geometric_block_total(self.dimension, s)
+        for k in range(1, self.truncation_degree + 1):
+            total -= multiindex.count(self.dimension, k) * s**k
+        return max(total, 0.0)
 
     def has_degree_mass(self):
         """True if any degree >= 1 coefficient (explicit or tail) is positive."""
@@ -152,16 +132,6 @@ def moebius(a, truncation=MOEBIUS_TRUNCATION):
     )
 
 
-def moebius_signed_coefficients(a, truncation=DEFAULT_TRUNCATION):
-    """Signed Taylor coefficients of (a - z)/(1 - a z), for sampling checks."""
-    if not 0.0 < a < 1.0:
-        raise ParameterError(f"moebius needs a in (0,1), got {a}")
-    coeffs = {(0,): complex(a)}
-    for k in range(1, truncation + 1):
-        coeffs[(k,)] = complex(-(1.0 - a * a) * a ** (k - 1))
-    return coeffs
-
-
 def extremal_g(n, p):
     """The uniform family with value v^k on every index of degree k >= 1.
 
@@ -200,20 +170,14 @@ def linear_form(n, q, t):
         raise ParameterError(f"need q, t >= 1, got q={q}, t={t}")
     m = linear_form_scale(n, q, t)
     entries = {}
-    payload = {}
     for i in range(n):
-        e_i = tuple(1 if j == i else 0 for j in range(n))
-        entries[e_i] = 1.0 / m
-        payload[e_i] = LqVector(
-            coordinates=tuple(1.0 / m if j == i else 0.0 for j in range(n)), q=q
-        )
+        entries[tuple(1 if j == i else 0 for j in range(n))] = 1.0 / m
     return CoefficientFamily(
         dimension=n,
         entries=entries,
         truncation_degree=1,
         label=f"linear_form(n={n}, q={q}, t={t})",
         sup_norm_certified=True,
-        payload=payload,
     )
 
 
@@ -266,7 +230,10 @@ def build(preset, **params):
     """Construct the named preset; see PRESETS for the parameters each takes."""
     if preset not in PRESETS:
         raise ParameterError(f"unknown preset: {preset}")
-    return PRESETS[preset].make(params)
+    try:
+        return PRESETS[preset].make(params)
+    except KeyError as exc:  # the builders read only their parameters by key
+        raise ParameterError(f"preset {preset} needs {exc.args[0]}") from None
 
 
 def rescale(f, sigma):
@@ -309,11 +276,7 @@ def h2_norm(f):
     """(sum_alpha ||x_alpha||^2)^(1/2) including degree 0 and the tail."""
     total = sum(v * v for v in f.entries.values())
     if f.tail is not None:
-        s = f.tail.parameter**2
-        tail_total = geometric_block_total(f.dimension, s)
-        for k in range(1, f.truncation_degree + 1):
-            tail_total -= multiindex.count(f.dimension, k) * s**k
-        total += max(tail_total, 0.0)
+        total += f.tail_block(f.tail.parameter**2)
     return math.sqrt(total)
 
 
@@ -322,12 +285,18 @@ def to_json(f):
         "dimension": f.dimension,
         "truncation_degree": f.truncation_degree,
         "entries": [[list(alpha), value] for alpha, value in sorted(f.entries.items())],
-        "tail": None
-        if f.tail is None
-        else {"kind": f.tail.kind, "parameter": f.tail.parameter},
+        "tail": None if f.tail is None else {"kind": TAIL_KIND, "parameter": f.tail.parameter},
         "label": f.label,
+        "sup_norm_certified": f.sup_norm_certified,
     }
     return json.dumps(doc)
+
+
+def _tail_from_json(tail):
+    parameter = tail["parameter"]
+    if tail["kind"] != TAIL_KIND:
+        raise ParameterError(f"unknown tail kind: {tail['kind']}")
+    return AnalyticTail(parameter=parameter)
 
 
 def from_json(text):
@@ -337,6 +306,7 @@ def from_json(text):
         dimension=doc["dimension"],
         entries={tuple(parts): value for parts, value in doc["entries"]},
         truncation_degree=doc["truncation_degree"],
-        tail=None if tail is None else AnalyticTail(parameter=tail["parameter"], kind=tail["kind"]),
+        tail=None if tail is None else _tail_from_json(tail),
         label=doc.get("label", ""),
+        sup_norm_certified=doc.get("sup_norm_certified", False),
     )

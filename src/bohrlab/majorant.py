@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import family as fam
 from . import multiindex
 from .errors import ConvergenceError, ParameterError, TailDivergenceError
+
+# The multistart ball optimizer: number of starts, update cap, and the
+# relative change below which `PATIENCE` updates in a row count as converged.
+N_STARTS = 16
+MAX_ITER = 100_000
+REL_TOL = 1e-12
+PATIENCE = 50
 
 
 @dataclass(frozen=True)
@@ -62,10 +68,7 @@ def _tail_block(f, p, r):
         raise TailDivergenceError(
             f"tail diverges at p={p}, r={r} (parameter {f.tail.parameter})"
         )
-    total = fam.geometric_block_total(f.dimension, s)
-    for k in range(1, f.truncation_degree + 1):
-        total -= multiindex.count(f.dimension, k) * s**k
-    return max(total, 0.0)
+    return f.tail_block(s)
 
 
 def powered_majorant_polydisk(f, p, r):
@@ -149,9 +152,7 @@ def _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
     return points[:n_starts]
 
 
-def powered_majorant_ball(
-    f, p, t, r, seed=0, n_starts=16, max_iter=100_000, rel_tol=1e-12, patience=50
-):
+def powered_majorant_ball(f, p, t, r, seed=0):
     """Majorant over the l_t ball of radius r via simplex maximization.
 
     A present tail is bounded by its polydisk closed form and added on top.
@@ -208,14 +209,14 @@ def powered_majorant_ball(
     # All starts advance together as the rows of one array.  `rows` maps the
     # rows still running to their starts; a row leaves at the update where
     # its own run would stop, and its last iterate and value are kept.
-    u = np.array(_multistart_points(n, budget, alphas, coeffs, seed, n_starts))
+    u = np.array(_multistart_points(n, budget, alphas, coeffs, seed, N_STARTS))
     final_u = np.empty_like(u)
     final_value = np.empty(len(u))
     converged = np.zeros(len(u), dtype=bool)
     rows = np.arange(len(u))
     cur, mono = evaluate(u)
     calm = np.zeros(len(u), dtype=int)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if rows.size == 0:
             break
         w = mono @ exponents  # w_i = u_i * dF/du_i, per row
@@ -230,8 +231,8 @@ def powered_majorant_ball(
         prev = cur
         cur, mono = evaluate(u)
         # objectives are nonnegative, so |cur| needs no abs
-        calm = (calm + 1) * (np.abs(cur - prev) <= rel_tol * np.maximum(cur, 1.0))
-        done = calm >= patience
+        calm = (calm + 1) * (np.abs(cur - prev) <= REL_TOL * np.maximum(cur, 1.0))
+        done = calm >= PATIENCE
         if done.any():
             converged[rows[done]] = True
             final_u[rows[done]] = u[done]

@@ -12,10 +12,6 @@ from .errors import CapacityError, ParameterError
 ENUMERATION_CAP = 10**8
 
 
-def degree(alpha):
-    return sum(alpha)
-
-
 def validate(alpha):
     if len(alpha) < 1:
         raise ParameterError("multi-index must have at least one part")
@@ -30,16 +26,16 @@ def count(n, k):
     return math.comb(n + k - 1, k)
 
 
-def enumerate_degree(n, k, cap=ENUMERATION_CAP):
+def enumerate_degree(n, k):
     """All multi-indices with |alpha| = k in n variables.
 
     Order is lexicographically descending on the parts, e.g.
     (2,0), (1,1), (0,2) for n = k = 2.  Raises CapacityError when the
-    count exceeds `cap`.
+    count exceeds ENUMERATION_CAP.
     """
     total = count(n, k)
-    if total > cap:
-        raise CapacityError(f"enumerate({n}, {k}) has {total} indices, cap is {cap}")
+    if total > ENUMERATION_CAP:
+        raise CapacityError(f"enumerate({n}, {k}) has {total} indices, cap is {ENUMERATION_CAP}")
 
     def gen(m, rem):
         if m == 1:
@@ -86,7 +82,7 @@ def count_and_bound(n, k):
     return c, ok
 
 
-def multinomial_identity_residual(x, k, cap=ENUMERATION_CAP):
+def multinomial_identity_residual(x, k):
     """Relative residual of sum_{|alpha|=k} (k!/alpha!) x^alpha = (sum x_i)^k."""
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
@@ -94,7 +90,7 @@ def multinomial_identity_residual(x, k, cap=ENUMERATION_CAP):
         raise ParameterError("entries of x must be nonnegative")
     n = len(x)
     lhs = 0.0
-    for alpha in enumerate_degree(n, k, cap=cap):
+    for alpha in enumerate_degree(n, k):
         term = float(multinomial_weight(alpha))
         for xi, ai in zip(x, alpha):
             term *= xi**ai

@@ -4,6 +4,7 @@ The grid oracle evaluates the ball majorant by dense simplex sampling plus
 SLSQP refinement and never touches the multiplicative-update path.  The
 serial ball optimizer runs the same multiplicative updates one start at a
 time, as a reference for the batched loop in `powered_majorant_ball`.
+The signed Moebius coefficients feed the torus sampling checks.
 """
 
 import numpy as np
@@ -13,6 +14,14 @@ from bohrlab import explicit
 from bohrlab.errors import ConvergenceError
 from bohrlab.majorant import _multistart_points, _terms
 from bohrlab.multiindex import enumerate_degree
+
+
+def moebius_signed_coefficients(a, truncation=64):
+    """Signed Taylor coefficients of (a - z)/(1 - a z) up to degree `truncation`."""
+    coeffs = {(0,): complex(a)}
+    for k in range(1, truncation + 1):
+        coeffs[(k,)] = complex(-(1.0 - a * a) * a ** (k - 1))
+    return coeffs
 
 
 def random_sparse_family(rng, n, max_degree, n_terms, lo=0.1, hi=1.5):

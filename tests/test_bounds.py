@@ -118,11 +118,13 @@ def test_uncertified_family_refused():
         coefficient_bound_check(family.explicit(1, {(1,): 1.0}), 2.0)
 
 
-def test_sandwich():
+def test_sandwich(capsys):
     lower = certified_lower_bound(CertificateInput(1, 1.0, 2.0, 1.0))
     from bohrlab.radius import RadiusResult
 
     upper = RadiusResult(exact_h2_radius(1, 1.0), "closed_form", 0.0, (0, 1))
     assert sandwich_check(lower, upper)
     assert sandwich_check(upper, upper)  # equal values pass
-    assert not sandwich_check(upper, lower, dump=None)
+    assert capsys.readouterr().err == ""
+    assert not sandwich_check(upper, lower)
+    assert capsys.readouterr().err.startswith("sandwich violation: lower=")

@@ -10,6 +10,7 @@ import pytest
 import bohrlab
 from bohrlab import family, majorant, radius
 from bohrlab.cli import (
+    COMMANDS,
     EXIT_RANGE,
     EXIT_TYPE,
     EXIT_UNKNOWN,
@@ -184,6 +185,48 @@ def test_witness_and_limit_check():
 def test_coeff_check_command():
     _, out = run_cli(["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5"])
     assert json.loads(out)["result"]["ok"] is True
+
+
+def test_coeff_check_reads_the_certificate_from_stdin_json():
+    doc = family.to_json(family.moebius(0.5, 3))
+    code, from_stdin = run_cli(["coeff-check", "--t", "2"], stdin_text=doc)
+    _, from_preset = run_cli(
+        ["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5", "--trunc", "3"]
+    )
+    assert code == 0
+    assert json.loads(from_stdin)["result"] == json.loads(from_preset)["result"]
+
+
+# a valid run of each command that does not solve for a radius
+NO_TOL = [
+    ["exact-h2", "--n", "10", "--p", "1"],
+    ["residual", "--n", "10", "--p", "1", "--r", "0.5"],
+    ["certify", "--n", "10", "--p", "1", "--q", "2", "--C", "1", "--mode", "numeric"],
+    ["witness", "--n", "9", "--p", "1", "--q", "2", "--t", "2"],
+    ["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5"],
+    ["sandwich", "--n", "10", "--p", "1"],
+    ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.5", "--preset", "monomial", "--alpha", "1,1"],
+    ["sweep", "--generator", "exact-h2", "--p", "1", "--n-list", "10,100"],
+    ["fit", "--generator", "exact-h2", "--p", "1", "--n-list", "10,100,1000"],
+    ["limit-check", "--p", "1", "--n", "1000"],
+]
+
+
+def test_tol_is_taken_only_by_the_radius_solves():
+    assert {argv[0] for argv in NO_TOL} == set(COMMANDS) - {"solve", "pluri"}
+    for command in ("solve", "pluri"):
+        assert parse_config([command, "--p", "1", "--tol", "1e-8"]).tol == 1e-8
+
+
+@pytest.mark.parametrize("argv", NO_TOL, ids=lambda argv: argv[0])
+def test_tol_is_an_unknown_key_elsewhere(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    assert main([*argv, "--tol", "0.001"]) == EXIT_UNKNOWN
+    path = tmp_path / "run.cfg"
+    path.write_text("tol=0.001\n")
+    assert main([*argv, "--config", str(path)]) == EXIT_UNKNOWN
+    prefix = f"error: unknown key for {argv[0]}:"
+    assert capsys.readouterr().err.splitlines() == [f"{prefix} --tol", f"{prefix} tol"]
 
 
 def test_maximize_ball_command():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,31 +54,8 @@ def test_linear_form():
     f = family.linear_form(4, 2, math.inf)
     assert all(val == pytest.approx(0.5) for val in f.entries.values())
     assert len(f.entries) == 4
-    # payload vectors realize the stored norms
-    for alpha, vec in f.payload.items():
-        assert vec.norm() == pytest.approx(f.entries[alpha])
     assert family.linear_form_scale(9, 2, 2) == 1.0
     assert family.linear_form_scale(9, 2, math.inf) == 3.0
-
-
-def test_lq_norm():
-    assert family.lq_norm((1, 1), 2) == pytest.approx(math.sqrt(2))
-    assert family.lq_norm((3, 4), 1) == 7
-    for q in [1, 1.5, 2, 3]:
-        assert family.lq_norm((1.0,) * 8, q) == pytest.approx(8 ** (1 / q))
-    assert family.lq_norm((1.0,) * 8, math.inf) == 1.0
-
-
-def test_lq_norm_triangle_and_homogeneity():
-    rng = np.random.default_rng(99)
-    for _ in range(1000):
-        q = float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf]))
-        n = int(rng.integers(1, 6))
-        u = rng.normal(size=n)
-        v = rng.normal(size=n)
-        c = float(rng.normal())
-        assert family.lq_norm(u + v, q) <= family.lq_norm(u, q) + family.lq_norm(v, q) + 1e-12
-        assert family.lq_norm(c * u, q) == pytest.approx(abs(c) * family.lq_norm(u, q))
 
 
 def test_rescale():
@@ -109,6 +87,17 @@ def test_build_deterministic():
     a = family.build("moebius", a=0.3)
     b = family.build("moebius", a=0.3)
     assert a.entries == b.entries and a.tail == b.tail
+
+
+def test_build_missing_parameter_is_a_parameter_error():
+    for preset, params in [
+        ("moebius", {}),
+        ("extremal-g", {"fn": 10}),
+        ("linear-form", {"fn": 3}),
+        ("monomial", {}),
+    ]:
+        with pytest.raises(ParameterError):
+            family.build(preset, **params)
 
 
 def test_build_moebius_uses_moebius_truncation():
@@ -148,7 +137,14 @@ def test_json_round_trip():
         assert back.dimension == f.dimension
         assert back.entries == f.entries
         assert back.tail == f.tail
+        assert back.sup_norm_certified == f.sup_norm_certified
         assert family.to_json(back) == family.to_json(f)
+    doc = json.loads(family.to_json(family.moebius(0.37)))
+    del doc["sup_norm_certified"]
+    assert family.from_json(json.dumps(doc)).sup_norm_certified is False
+    doc["tail"]["kind"] = "other"
+    with pytest.raises(ParameterError):
+        family.from_json(json.dumps(doc))
 
 
 def test_validation():

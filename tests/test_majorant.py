@@ -12,7 +12,12 @@ from bohrlab.majorant import (
     powered_majorant_polydisk,
     torus_sup_lower_bound,
 )
-from oracles import grid_oracle_ball, random_sparse_family, serial_ball_optimizer
+from oracles import (
+    grid_oracle_ball,
+    moebius_signed_coefficients,
+    random_sparse_family,
+    serial_ball_optimizer,
+)
 
 Z_ONLY = family.explicit(1, {(1,): 1.0})
 
@@ -146,20 +151,22 @@ def test_ball_batched_starts_match_serial_reference():
         assert abs(res.value - want) <= 1e-12 * want
 
 
-def test_ball_single_start_matches_serial_reference():
+def test_ball_single_start_matches_serial_reference(monkeypatch):
+    monkeypatch.setattr(majorant, "N_STARTS", 1)
     for f, p, t, r in optimizer_cases(5, 20):
-        res = powered_majorant_ball(f, p, t, r, n_starts=1)
+        res = powered_majorant_ball(f, p, t, r)
         want, _ = serial_ball_optimizer(f, p, t, r, n_starts=1)
         assert abs(res.value - want) <= 1e-12 * want
 
 
-def test_ball_unconverged_raises_with_best_found():
+def test_ball_unconverged_raises_with_best_found(monkeypatch):
     cut_short = family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5})
     # at r = 1e-60 every monomial underflows, so every start stops on zero weights
     underflow = family.explicit(2, {(5, 3): 0.8, (3, 4): 0.3, (0, 6): 0.5})
     for f, r, max_iter in [(cut_short, 0.7, 1), (underflow, 1e-60, 100_000)]:
+        monkeypatch.setattr(majorant, "MAX_ITER", max_iter)
         with pytest.raises(ConvergenceError) as err:
-            powered_majorant_ball(f, 1.0, 2.0, r, max_iter=max_iter)
+            powered_majorant_ball(f, 1.0, 2.0, r)
         with pytest.raises(ConvergenceError) as ref:
             serial_ball_optimizer(f, 1.0, 2.0, r, max_iter=max_iter)
         assert err.value.best_value == pytest.approx(ref.value.best_value, rel=1e-12)
@@ -173,7 +180,7 @@ def test_torus_sampling_single_variable():
 
 
 def test_torus_sampling_moebius_inner():
-    coeffs = family.moebius_signed_coefficients(0.5)
+    coeffs = moebius_signed_coefficients(0.5)
     val = torus_sup_lower_bound(coeffs, 1, samples=10_000, seed=1)
     assert val <= 1.0 + 1e-12
     assert val > 0.99

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab import multiindex
 from bohrlab.errors import CapacityError, ParameterError
 from bohrlab.multiindex import (
     count,
@@ -36,11 +37,12 @@ def test_enumerate_order_and_uniqueness():
         assert seq == sorted(seq, reverse=True)
 
 
-def test_enumerate_capacity_cap():
+def test_enumerate_capacity_cap(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_degree(30, 30)
+    monkeypatch.setattr(multiindex, "ENUMERATION_CAP", 10)
     with pytest.raises(CapacityError):
-        enumerate_degree(4, 4, cap=10)
+        enumerate_degree(4, 4)
 
 
 def test_multinomial_weight_values():
