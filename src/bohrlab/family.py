@@ -83,12 +83,20 @@ class CoefficientFamily:
         return sums
 
     def tail_block(self, s):
-        """sum_{k > truncation_degree} C(n+k-1,k) s^k, for 0 <= s < 1: the tail's
-        degree blocks, each index of degree k weighted s^k."""
+        """(sum_{k > truncation_degree} C(n+k-1,k) s^k, s times its derivative in s),
+        for 0 <= s < 1: the tail's degree blocks, each index of degree k weighted
+        s^k, and the same blocks weighted k s^k.
+
+        The weighted full sum n s (1-s)^(-n-1) is formed as n s/(1-s) times
+        (1-s)^(-n), by multiplication, so that it overflows to inf, not raises.
+        """
         total = geometric_block_total(self.dimension, s)
+        slope = s * self.dimension / (1.0 - s) * (total + 1.0)
         for k in range(1, self.truncation_degree + 1):
-            total -= multiindex.count(self.dimension, k) * s**k
-        return max(total, 0.0)
+            term = multiindex.count(self.dimension, k) * s**k
+            total -= term
+            slope -= k * term
+        return max(total, 0.0), max(slope, 0.0)
 
     def has_degree_mass(self):
         """True if any degree >= 1 coefficient (explicit or tail) is positive."""
@@ -276,7 +284,7 @@ def h2_norm(f):
     """(sum_alpha ||x_alpha||^2)^(1/2) including degree 0 and the tail."""
     total = sum(v * v for v in f.entries.values())
     if f.tail is not None:
-        total += f.tail_block(f.tail.parameter**2)
+        total += f.tail_block(f.tail.parameter**2)[0]
     return math.sqrt(total)
 
 

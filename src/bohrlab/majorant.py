@@ -6,6 +6,10 @@ posynomial maximization over the simplex u_i = |z_i|^t, sum u_i = r^t,
 solved in closed form where one exists and by deterministic multistart
 multiplicative updates otherwise.  The starts advance together as the rows
 of one array, and each row stops at the update where its own run would.
+
+Every value comes with its slope dS/d(log r).  A term of degree k scales
+as r^(pk), so its slope is p k times the term; on the ball the envelope
+theorem gives the slope of the sup as that sum at the maximizer.
 """
 
 import math
@@ -55,20 +59,23 @@ class DomainSpec:
 @dataclass(frozen=True)
 class MajorantValue:
     value: float
+    slope: float  # dS/d(log r)
     exactness: str  # "exact" | "lower_bound" | "optimizer"
     maximizer: tuple | None = None
 
 
 def _tail_block(f, p, r):
-    """Closed-form tail sum over degrees k > truncation, polydisk semantics."""
+    """(closed-form tail sum over degrees k > truncation, its slope in log r),
+    polydisk semantics."""
     if f.tail is None:
-        return 0.0
+        return 0.0, 0.0
     s = (f.tail.parameter * r) ** p
     if s >= 1.0:
         raise TailDivergenceError(
             f"tail diverges at p={p}, r={r} (parameter {f.tail.parameter})"
         )
-    return f.tail_block(s)
+    block, s_slope = f.tail_block(s)
+    return block, p * s_slope  # ds/d(log r) = p s
 
 
 def powered_majorant_polydisk(f, p, r):
@@ -77,11 +84,18 @@ def powered_majorant_polydisk(f, p, r):
         raise ParameterError(f"need p > 0, got {p}")
     if not 0.0 <= r < 1.0:
         raise ParameterError(f"need r in [0,1), got {r}")
-    value = 0.0
+    value = slope = 0.0
     for k, dsum in f.degree_power_sums(p).items():
-        value += dsum * r ** (p * k)
-    value += _tail_block(f, p, r)
-    return MajorantValue(value=value, exactness="exact", maximizer=(r,) * f.dimension)
+        term = dsum * r ** (p * k)
+        value += term
+        slope += k * term
+    tail, tail_slope = _tail_block(f, p, r)
+    return MajorantValue(
+        value=value + tail,
+        slope=p * slope + tail_slope,
+        exactness="exact",
+        maximizer=(r,) * f.dimension,
+    )
 
 
 def _terms(f, p):
@@ -109,7 +123,7 @@ def _single_monomial_max(alpha, coeff, p, t, r):
     budget = r**t
     u = [budget * a / k for a in alpha]
     z = tuple(ui ** (1.0 / t) for ui in u)
-    return MajorantValue(value=value, exactness="exact", maximizer=z)
+    return MajorantValue(value=value, slope=p * k * value, exactness="exact", maximizer=z)
 
 
 def _degree_one_max(coeffs, p, t, r):
@@ -129,7 +143,8 @@ def _degree_one_max(coeffs, p, t, r):
         u = np.zeros_like(coeffs)
         u[i] = budget
     z = tuple(float(ui) ** (1.0 / t) for ui in u)
-    return MajorantValue(value=value, exactness="exact", maximizer=z)
+    # value is homogeneous of degree p in r
+    return MajorantValue(value=value, slope=p * value, exactness="exact", maximizer=z)
 
 
 def _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
@@ -166,13 +181,14 @@ def powered_majorant_ball(f, p, t, r, seed=0):
         raise ParameterError(f"need t in [1, inf), got {t}")
     if not 0.0 <= r < 1.0:
         raise ParameterError(f"need r in [0,1), got {r}")
-    tail_bound = _tail_block(f, p, r)
+    tail_bound, tail_slope = _tail_block(f, p, r)
     alphas, coeffs = _terms(f, p)
     n = f.dimension
 
     if len(coeffs) == 0 or r == 0.0:
         return MajorantValue(
             value=tail_bound,
+            slope=tail_slope,
             exactness="exact" if f.tail is None else "optimizer",
             maximizer=(r * n ** (-1.0 / t),) * n,
         )
@@ -191,6 +207,7 @@ def powered_majorant_ball(f, p, t, r, seed=0):
         if tail_bound > 0.0:
             result = MajorantValue(
                 value=result.value + tail_bound,
+                slope=result.slope + tail_slope,
                 exactness="optimizer",
                 maximizer=result.maximizer,
             )
@@ -258,8 +275,16 @@ def powered_majorant_ball(f, p, t, r, seed=0):
             best_value=best_value + tail_bound,
             best_point=None if best_u is None else tuple(best_u ** (1.0 / t)),
         )
+    # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
+    _, terms = evaluate(best_u[None, :])
+    slope = p * float(terms[0] @ alphas.sum(axis=1))
     z = tuple(float(ui) ** (1.0 / t) for ui in best_u)
-    return MajorantValue(value=best_value + tail_bound, exactness="optimizer", maximizer=z)
+    return MajorantValue(
+        value=best_value + tail_bound,
+        slope=slope + tail_slope,
+        exactness="optimizer",
+        maximizer=z,
+    )
 
 
 def powered_majorant(f, p, domain, r, seed=0):

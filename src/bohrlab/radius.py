@@ -1,11 +1,14 @@
-"""Radius solvers: a bracketing root finder on the powered majorant, the
-exact H^2 closed form, its defining-equation residual, and the
+"""Radius solvers: a safeguarded Newton root finder on the powered majorant,
+the exact H^2 closed form, its defining-equation residual, and the
 pluriharmonic radius via the per-index weight (|a|^p + |b|^p)^(1/p).
 
-The root finder takes ITP steps (interpolate, truncate, project): a
-bisection variant that keeps the bracket S(lo) <= 1 < S(hi) and needs at
-most one evaluation more than plain bisection, while converging
-superlinearly where S is smooth."""
+The root finder works on g(y) = log S(e^y).  S is a positive sum of powers
+of r (on the ball, a supremum of such sums), so g is convex and increasing,
+and Newton steps taken from the right end of the bracket fall monotonically
+onto the crossing.  The bracket S(lo) <= 1 < S(hi) is kept throughout and
+closed by one probe on the far side of the converged Newton point; the
+loop stops at a width relative to the radius.
+"""
 
 import math
 from dataclasses import dataclass
@@ -16,6 +19,9 @@ from .errors import ParameterError, TailDivergenceError
 
 DEFAULT_TOL = 1e-10
 TOP_RADIUS = 1.0 - 1e-9
+# the bracket is also closed to this width relative to its right end, so
+# that small radii keep their digits whatever the absolute tol
+REL_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,29 +43,35 @@ class RadiusResult:
 
 
 def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
-    """Largest r in [0,1] with evaluate(r) <= 1, for nondecreasing evaluate.
+    """Largest r in [0,1] with S(r) <= 1, for a nondecreasing S with
+    evaluate(r) = (S(r), dS/d(log r)).
 
-    evaluate(0) is taken to be 0, as for every powered majorant (degree 0 is
+    S(0) is taken to be 0, as for every powered majorant (degree 0 is
     excluded), so r = 0 is never evaluated.  evaluate(r) may raise
-    TailDivergenceError or return a non-finite value; both count as a value
+    TailDivergenceError or return a non-finite S; both count as a value
     above 1.
 
-    Each step is an ITP step (interpolate, truncate, project; Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020) on evaluate(r) - 1.  ITP is a bisection
-    variant: the bracket keeps evaluate(lo) <= 1 < evaluate(hi), and the
-    projection keeps each step inside bisection's schedule with one spare
-    step, so the worst case is one evaluation more than plain bisection.  On
-    smooth stretches the truncated regula falsi point converges
-    superlinearly.  Where interpolation is unusable (an infinite end value)
-    the step is the midpoint.
+    The iteration starts at TOP_RADIUS and takes Newton steps on
+    log S = 0 in log r, from the point evaluated last:
+    r <- r exp(-log S / (slope / S)).  On a majorant, log S is convex in
+    log r, so from the right end every Newton point stays right of the
+    crossing and hi falls monotonically onto it.  The bracket keeps
+    S(lo) <= 1 < S(hi).  A step is the midpoint of the bracket instead when
+    S or the slope at the last point is not finite, or when the Newton
+    point is not strictly inside (lo, hi).
 
-    Two guards keep the step count from depending on where the crossing
-    falls.  When the same end moves twice running, the value kept at the
-    other end is scaled down (Anderson-Bjorck), so that regula falsi does
-    not creep in from one side of a convex S.  And the truncation moves the
-    interpolated point at least half the tolerance, so that an iterate
-    landing on the crossing is followed by one across it, rather than by
-    bisection of the far side of the bracket.
+    Once the Newton point is within half the target width of the last
+    point, one probe a quarter width beyond it, on the far side of the
+    crossing, closes the bracket: below it when the last point had S > 1,
+    above it when the last point landed with S <= 1.  The loop stops when
+    hi - lo <= min(tol, REL_WIDTH * hi), or when lo and hi are adjacent
+    floats.  The result is the Newton point of the last evaluation, clipped
+    to the bracket (its midpoint where there is no Newton point);
+    `evaluations` counts the call at TOP_RADIUS and the residual's call.
+
+    The step count rests on the slope being the derivative of S: a slope
+    overstated k-fold makes the Newton steps k times too short, and the
+    iteration then needs about k times as many of them.
     """
     evals = 0
 
@@ -67,13 +79,14 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
         nonlocal evals
         evals += 1
         try:
-            value = evaluate(r)
+            s, slope = evaluate(r)
         except TailDivergenceError:
-            return math.inf
-        return value if math.isfinite(value) else math.inf
+            return math.inf, math.nan
+        return (s, slope) if math.isfinite(s) else (math.inf, math.nan)
 
-    top = safe(TOP_RADIUS)
-    if top <= 1.0:
+    x = TOP_RADIUS  # the point evaluated last
+    s, slope = safe(x)
+    if s <= 1.0:
         return RadiusResult(
             value=1.0,
             method="saturated_at_one",
@@ -82,65 +95,54 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
             evaluations=evals,
         )
     lo, hi = 0.0, TOP_RADIUS
-    g_lo, g_hi = -1.0, top - 1.0  # evaluate - 1 at the bracket ends
-    kappa1 = 0.2 / (hi - lo)  # kappa2 = 2, n0 = 1
-    # slack is the bracket width allowed after the coming step: it halves
-    # each step and reaches the target after bisection's step count plus
-    # one.  The target sits a few ulps inside tol, so that rounding in the
-    # endpoints cannot leave the last bracket just wider than tol.
-    target = max(tol - 16 * math.ulp(1.0), 0.5 * tol)
-    slack = target * 2.0 ** math.ceil(math.log2((hi - lo) / tol))
-    moved = 0  # -1 or 1 when lo or hi moved last
-    while hi - lo > tol:
+    while True:
+        width = min(tol, REL_WIDTH * hi)
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent floats: no narrower bracket exists
-        width = hi - lo
-        x = mid
-        if math.isfinite(g_hi):
-            falsi = (g_hi * lo - g_lo * hi) / (g_hi - g_lo)
-            sigma = 1.0 if mid >= falsi else -1.0
-            delta = max(kappa1 * width * width, 0.5 * target)
-            x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
-            reach = max(slack - 0.5 * width, 0.0)
-            if abs(x - mid) > reach:
-                x = mid - sigma * reach
-            if not lo < x < hi:
-                x = mid
-        slack *= 0.5
-        g_x = safe(x) - 1.0
-        if g_x <= 0.0:
-            if moved < 0:
-                g_hi *= _anderson_bjorck(g_x, g_lo)
-            lo, g_lo, moved = x, g_x, -1
+        if hi - lo <= width or not lo < mid < hi:
+            break  # closed, or lo and hi are adjacent floats
+        step = _newton_point(x, s, slope)
+        if abs(step - x) <= 0.5 * width:
+            # converged: probe just across the Newton point from x
+            if s > 1.0:
+                step = min(step - 0.25 * width, math.nextafter(x, 0.0))
+            else:
+                step = max(step + 0.25 * width, math.nextafter(x, 1.0))
+        x = step if lo < step < hi else mid
+        s, slope = safe(x)
+        if s <= 1.0:
+            lo = x
         else:
-            if moved > 0:
-                g_lo *= _anderson_bjorck(g_x, g_hi)
-            hi, g_hi, moved = x, g_x, 1
-    value = 0.5 * (lo + hi)
-    residual = abs(safe(value) - 1.0)
+            hi = x
+    value = _newton_point(x, s, slope)
+    value = 0.5 * (lo + hi) if math.isnan(value) else min(max(value, lo), hi)
     return RadiusResult(
         value=value,
         method="bisection",
-        residual=residual,
+        residual=abs(safe(value)[0] - 1.0),
         bracket=(lo, hi),
         evaluations=evals,
     )
 
 
-def _anderson_bjorck(g_new, g_old):
-    """Scale for the kept end's value after an end moved from g_old to g_new."""
-    m = 1.0 - g_new / g_old if g_old != 0.0 else 0.0
-    return m if m > 0.0 else 0.5
+def _newton_point(r, value, slope):
+    """Newton point for log S = 0 in log r from (r, S, dS/d(log r)); nan
+    where S or the slope does not give one."""
+    if not (0.0 < value < math.inf and 0.0 < slope < math.inf):
+        return math.nan
+    # capped so that exp cannot overflow: r e^709 lies above any bracket
+    return r * math.exp(min(-math.log(value) * value / slope, 709.0))
 
 
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1."""
     if not f.has_degree_mass():
         return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)
-    return bisect_unit_crossing(
-        lambda r: maj.powered_majorant(f, p, domain, r, seed=seed).value, tol=tol
-    )
+
+    def evaluate(r):
+        mv = maj.powered_majorant(f, p, domain, r, seed=seed)
+        return mv.value, mv.slope
+
+    return bisect_unit_crossing(evaluate, tol=tol)
 
 
 def exact_h2_radius(n, p):
@@ -215,16 +217,16 @@ def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
     if domain.kind == "polydisk":
         # separable sup: the combined sum splits exactly into the two parts
         def evaluate(r):
-            return (
-                maj.powered_majorant_polydisk(pf.holo, p, r).value
-                + maj.powered_majorant_polydisk(pf.anti, p, r).value
-            )
+            holo = maj.powered_majorant_polydisk(pf.holo, p, r)
+            anti = maj.powered_majorant_polydisk(pf.anti, p, r)
+            return holo.value + anti.value, holo.slope + anti.slope
 
     else:
         merged = merged_weight_family(pf, p)
 
         def evaluate(r):
-            return maj.powered_majorant_ball(merged, p, t, r, seed=seed).value
+            mv = maj.powered_majorant_ball(merged, p, t, r, seed=seed)
+            return mv.value, mv.slope
 
     if not (pf.holo.has_degree_mass() or pf.anti.has_degree_mass()):
         return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)

@@ -244,24 +244,25 @@ def test_float_fields_have_17_digit_round_trip():
     assert float(raw) == json.loads(out)["result"]["value"]
 
 
-def test_byte_identical_across_runs_and_thread_env(monkeypatch, capsys):
+def test_byte_identical_across_runs(capsys):
     argv = ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.6", "--preset", "linear-form",
             "--fn", "3", "--fq", "2", "--seed", "5"]
     outputs = []
-    for threads in ["1", "4"]:
-        monkeypatch.setenv("BOHR_LAB_THREADS", threads)
+    for _ in range(2):
         assert main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
 
-def test_maximize_ball_byte_identical_across_blas_threads():
-    # a mixed l_2 family runs the batched multistart optimizer, whose
-    # matrix products go through BLAS
-    mixed = family.explicit(
-        3, {(0, 0, 1): 2.25, (0, 2, 1): 5.67, (1, 0, 2): 1.52, (1, 2, 1): 5.13}
-    )
-    argv = ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.44", "--seed", "3"]
+# a mixed l_2 family runs the batched multistart optimizer, whose matrix
+# products go through BLAS
+MIXED_L2 = family.explicit(
+    3, {(0, 0, 1): 2.25, (0, 2, 1): 5.67, (1, 0, 2): 1.52, (1, 2, 1): 5.13}
+)
+
+
+def stdout_per_blas_thread_count(argv, stdin_text):
+    """stdout of `bohr-lab argv` in a fresh process per OpenBLAS thread count."""
     outputs = []
     for threads in ["1", "2"]:
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -270,14 +271,28 @@ def test_maximize_ball_byte_identical_across_blas_threads():
         )
         proc = subprocess.run(
             [sys.executable, "-m", "bohrlab.cli", *argv],
-            input=family.to_json(mixed),
+            input=stdin_text,
             capture_output=True,
             text=True,
             env=env,
             check=True,
         )
         outputs.append(proc.stdout)
+    return outputs
+
+
+def test_maximize_ball_byte_identical_across_blas_threads():
+    argv = ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.44", "--seed", "3"]
+    outputs = stdout_per_blas_thread_count(argv, family.to_json(MIXED_L2))
     assert json.loads(outputs[0])["result"]["exactness"] == "optimizer"
+    assert outputs[0] == outputs[1]
+
+
+def test_solve_byte_identical_across_blas_threads():
+    # each Newton step reads the optimizer's slope, a BLAS product
+    argv = ["solve", "--p", "1", "--t", "2"]
+    outputs = stdout_per_blas_thread_count(argv, family.to_json(MIXED_L2))
+    assert json.loads(outputs[0])["result"]["method"] == "bisection"
     assert outputs[0] == outputs[1]
 
 

@@ -174,6 +174,61 @@ def test_ball_unconverged_raises_with_best_found(monkeypatch):
         assert len(err.value.best_point) == 2
 
 
+def log_r_central_difference(evaluate, r, h=1e-6):
+    """dS/d(log r) at r from S at r e^h and r e^-h."""
+    return (evaluate(r * math.exp(h)).value - evaluate(r * math.exp(-h)).value) / (2 * h)
+
+
+def polydisk_at(f, p):
+    return lambda r: powered_majorant_polydisk(f, p, r)
+
+
+def ball_at(f, p, t):
+    return lambda r: powered_majorant_ball(f, p, t, r)
+
+
+TAILED = family.explicit(
+    2, {(1, 0): 0.5, (0, 1): 0.3}, tail=family.AnalyticTail(parameter=0.4)
+)
+SLOPE_CASES = {
+    "polydisk_explicit": (polydisk_at(family.explicit(2, {(1, 0): 0.4, (2, 1): 0.7, (0, 3): 0.2}), 1.3), 0.6),
+    "polydisk_moebius_tail": (polydisk_at(family.moebius(0.5), 1.0), 0.8),
+    "polydisk_extremal_g": (polydisk_at(family.extremal_g(1000, 1.5), 1.5), 0.3),
+    "ball_single_monomial": (ball_at(family.explicit(3, {(2, 1, 0): 1.7}), 1.5, 2.0), 0.7),
+    "ball_degree_one_interior": (ball_at(family.explicit(3, {(1, 0, 0): 0.5, (0, 1, 0): 0.8, (0, 0, 1): 0.3}), 1.0, 2.0), 0.6),
+    "ball_degree_one_vertex": (ball_at(family.explicit(2, {(1, 0): 0.5, (0, 1): 0.8}), 2.0, 1.5), 0.6),
+    "ball_optimizer": (ball_at(family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5}), 1.0, 2.0), 0.7),
+    "ball_tailed": (ball_at(TAILED, 1.0, 2.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+def test_slope_matches_central_difference_in_log_r(case):
+    evaluate, r = SLOPE_CASES[case]
+    res = evaluate(r)
+    assert res.slope > 0.0
+    assert res.slope == pytest.approx(log_r_central_difference(evaluate, r), rel=1e-6)
+
+
+def test_optimizer_slope_matches_central_difference_on_random_families():
+    for f, p, t, r in optimizer_cases(31, 10):
+        evaluate = ball_at(f, p, t)
+        assert evaluate(r).slope == pytest.approx(log_r_central_difference(evaluate, r), rel=1e-6)
+
+
+@pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+def test_slope_is_zero_at_r_zero(case):
+    evaluate, _ = SLOPE_CASES[case]
+    assert evaluate(0.0).slope == 0.0
+
+
+def test_tail_block_slope_overflows_to_inf():
+    # (1-s)^(-n) = 2^1023 is finite, n s/(1-s) times it is not, and
+    # (1-s)^(-n-1) = 2^1024 computed with ** would raise OverflowError
+    block, s_slope = family.extremal_g(1023, 1.0).tail_block(0.5)
+    assert math.isfinite(block) and s_slope == math.inf
+
+
 def test_torus_sampling_single_variable():
     val = torus_sup_lower_bound({(1,): 1.0 + 0j}, 1, samples=1000, seed=0)
     assert 0.999 < val <= 1.0 + 1e-12
