@@ -1,7 +1,8 @@
 """bohrlab: powered Bohr radii on polydisks and l_t balls.
 
-Exact closed-form radii, powered-majorant evaluation, per-family bisection
-solvers, certified lower/witness upper bounds, and scaling-exponent sweeps.
+Exact closed-form radii, powered-majorant evaluation, per-family
+safeguarded Newton radius solvers, certified lower/witness upper bounds,
+scaling-exponent sweeps, and stars-and-bars multi-index enumeration.
 """
 
 from .asymptotics import FitResult, SweepRecord, fit_exponent, h2_limit_check, sweep

@@ -359,7 +359,7 @@ def _residual(config, stdin_text):
     return {"value": radius.h2_defining_residual(prm["n"], prm["p"], prm["r"])}
 
 
-@_command("solve", "per-family radius by bisection on the powered majorant", **_SOLVE)
+@_command("solve", "per-family radius by Newton steps on the powered majorant", **_SOLVE)
 def _solve(config, stdin_text):
     prm = config.params
     f = _family(prm, stdin_text)

@@ -4,7 +4,10 @@ The grid oracle evaluates the ball majorant by dense simplex sampling plus
 SLSQP refinement and never touches the multiplicative-update path.  The
 serial ball optimizer runs the same multiplicative updates one start at a
 time, as a reference for the batched loop in `powered_majorant_ball`.
-The signed Moebius coefficients feed the torus sampling checks.
+The recursive enumeration and the per-row identity residual are the loop
+versions of the block-wise `enumerate_degree` and
+`multinomial_identity_residual`.  The signed Moebius coefficients feed the
+torus sampling checks.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from scipy.optimize import minimize
 from bohrlab import explicit
 from bohrlab.errors import ConvergenceError
 from bohrlab.majorant import _multistart_points, _terms
-from bohrlab.multiindex import enumerate_degree
+from bohrlab.multiindex import enumerate_degree, multinomial_weight
 
 
 def moebius_signed_coefficients(a, truncation=64):
@@ -22,6 +25,34 @@ def moebius_signed_coefficients(a, truncation=64):
     for k in range(1, truncation + 1):
         coeffs[(k,)] = complex(-(1.0 - a * a) * a ** (k - 1))
     return coeffs
+
+
+def recursive_enumeration(n, k):
+    """All multi-indices with |alpha| = k in n variables, lexicographically
+    descending, built by recursion on the first part."""
+
+    def gen(m, rem):
+        if m == 1:
+            yield (rem,)
+            return
+        for first in range(rem, -1, -1):
+            for rest in gen(m - 1, rem - first):
+                yield (first,) + rest
+
+    return list(gen(n, k))
+
+
+def loop_identity_residual(x, k):
+    """Relative residual of sum_{|alpha|=k} (k!/alpha!) x^alpha = (sum x_i)^k,
+    one multi-index at a time with exact integer weights."""
+    lhs = 0.0
+    for alpha in recursive_enumeration(len(x), k):
+        term = float(multinomial_weight(alpha))
+        for xi, ai in zip(x, alpha):
+            term *= xi**ai
+        lhs += term
+    rhs = sum(x) ** k
+    return abs(lhs - rhs) / max(1.0, rhs)
 
 
 def random_sparse_family(rng, n, max_degree, n_terms, lo=0.1, hi=1.5):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bohrlab import multiindex
 from bohrlab.errors import CapacityError, ParameterError
+from bohrlab.family import normalized_monomial
 from bohrlab.multiindex import (
     count,
     count_and_bound,
@@ -12,6 +14,7 @@ from bohrlab.multiindex import (
     multinomial_identity_residual,
     multinomial_weight,
 )
+from oracles import loop_identity_residual, random_sparse_family, recursive_enumeration
 
 
 def test_enumerate_small_cases():
@@ -35,6 +38,55 @@ def test_enumerate_order_and_uniqueness():
         assert len(set(seq)) == len(seq) == count(n, k)
         assert all(sum(a) == k for a in seq)
         assert seq == sorted(seq, reverse=True)
+
+
+REFERENCE_PAIRS = (
+    [(n, k) for n in range(1, 9) for k in range(11)]
+    + [(1, k) for k in (50, 1000)]
+    + [(2, 255), (2, 256), (3, 300)]
+)
+
+
+def test_enumerate_matches_recursive_reference():
+    for n, k in REFERENCE_PAIRS:
+        rows = enumerate_degree(n, k)
+        assert rows == recursive_enumeration(n, k), (n, k)
+        assert type(rows) is list
+        assert all(type(row) is tuple for row in rows)
+        assert all(type(a) is int for row in rows for a in row), (n, k)
+
+
+def test_enumerate_largest_acceptance_listing():
+    rows = enumerate_degree(14, 9)
+    assert len(rows) == count(14, 9) == 497_420
+    assert rows[0] == (9,) + (0,) * 13
+    assert rows[1] == (8, 1) + (0,) * 12
+    assert rows[-2] == (0,) * 12 + (1, 8)
+    assert rows[-1] == (0,) * 13 + (9,)
+
+
+def test_rows_feed_validate_monomials_and_the_seeded_pool():
+    for alpha in enumerate_degree(3, 4):
+        multiindex.validate(alpha)
+        assert normalized_monomial(alpha, 2.0).entries.keys() == {alpha}
+    # the pool random_sparse_family draws from, built by the reference
+    rng = np.random.default_rng(11)
+    pool = [a for k in range(1, 4) for a in recursive_enumeration(3, k)]
+    idx = rng.choice(len(pool), size=6, replace=False)
+    expected = {pool[i]: float(rng.uniform(0.1, 1.5)) for i in idx}
+    assert random_sparse_family(np.random.default_rng(11), 3, 3, 6).entries == expected
+
+
+def test_enumerate_peak_memory_stays_near_its_result():
+    tracemalloc.start()
+    try:
+        rows = enumerate_degree(12, 8)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count(12, 8)
+    # current is (nearly all) the listing itself; blocks are bounded
+    assert peak - current < 2 * 2**20
 
 
 def test_enumerate_capacity_cap(monkeypatch):
@@ -81,6 +133,40 @@ def test_multinomial_identity_examples():
     assert multinomial_identity_residual((1.0, 2.0), 2) == 0.0
     assert multinomial_identity_residual((1.0,), 5) == 0.0
     assert multinomial_identity_residual((0.0, 0.0, 0.0), 3) == 0.0
+
+
+def test_multinomial_identity_matches_per_row_loop():
+    rng = np.random.default_rng(77)
+    for n in range(1, 6):
+        for k in range(1, 13):
+            for _ in range(3):
+                x = tuple(float(v) for v in rng.uniform(0.0, 2.0, size=n))
+                got = multinomial_identity_residual(x, k)
+                # both sides are relative to max(1, (sum x)^k)
+                assert abs(got - loop_identity_residual(x, k)) <= 1e-14, (x, k)
+
+
+def test_multinomial_identity_large_degree():
+    # 200! overflows a float; the weights C(200, j) do not
+    for x in [(0.25, 0.75), (0.6, 0.9)]:
+        got = multinomial_identity_residual(x, 200)
+        assert got <= 1e-13
+        assert abs(got - loop_identity_residual(x, 200)) <= 1e-13
+    # C(1100, 550) exceeds the float range, as the per-row loop found too
+    with pytest.raises(OverflowError):
+        multinomial_identity_residual((0.5, 0.5), 1100)
+
+
+@pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [1.0, -0.5]])
+def test_multinomial_identity_rejects_bad_entries(x):
+    with pytest.raises(ParameterError):
+        multinomial_identity_residual(x, 3)
+
+
+def test_multinomial_identity_capacity_cap(monkeypatch):
+    monkeypatch.setattr(multiindex, "ENUMERATION_CAP", 10)
+    with pytest.raises(CapacityError):
+        multinomial_identity_residual((1.0, 1.0, 1.0, 1.0), 4)
 
 
 def test_multinomial_identity_random():
