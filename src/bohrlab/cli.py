@@ -78,14 +78,13 @@ _FAMILY = {
     "trunc": Param("int", default=family.MOEBIUS_TRUNCATION, check=_nonnegative),
 }
 
-_COMMON = {
-    "seed": Param("int", default=0, check=lambda x: 0 <= x < 2**64),
-    "output": Param("str", default="json", choices=("json", "csv")),
-    "config": Param("str"),
-}
+_COMMON = {"config": Param("str")}
+
+# the optimizer seed, taken only by the commands that can reach the ball optimizer
+_SEED = Param("int", default=0, check=lambda x: 0 <= x < 2**64)
 
 # solve and pluri find a radius; only they take --tol, the root finder's bracket width
-_SOLVE = {"p": _P, "t": _T, **_FAMILY, "tol": Param("float", check=_positive)}
+_SOLVE = {"p": _P, "t": _T, **_FAMILY, "tol": Param("float", check=_positive), "seed": _SEED}
 
 
 def _convert(key, raw, spec):
@@ -444,6 +443,7 @@ def _sandwich(config, stdin_text):
     t=Param("float", required=True, check=lambda x: 1 <= x < math.inf),
     r=_R,
     **_FAMILY,
+    seed=_SEED,
 )
 def _maximize_ball(config, stdin_text):
     prm = config.params
@@ -456,7 +456,12 @@ def _maximize_ball(config, stdin_text):
     }
 
 
-@_command("sweep", "evaluate a generator over a list of dimensions (CSV/JSON)", **_SWEEP)
+@_command(
+    "sweep",
+    "evaluate a generator over a list of dimensions (CSV/JSON)",
+    **_SWEEP,
+    output=Param("str", default="json", choices=("json", "csv")),
+)
 def _sweep(config, stdin_text):
     records = _records(config.params)
     if config.output == "csv":

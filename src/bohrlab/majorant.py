@@ -4,14 +4,29 @@ On the polydisk the sup separates (|z_i| = r termwise) and the value is
 exact, including the closed-form tail.  On an l_t ball the sup becomes a
 posynomial maximization over the simplex u_i = |z_i|^t, sum u_i = r^t,
 solved in closed form where one exists and by deterministic multistart
-multiplicative updates otherwise.  The starts advance together as the rows
-of one array, and each row stops at the update where its own run would.
+updates otherwise.  `ball_evaluator(f, p, t, seed)` does once what does
+not depend on r (the term and exponent matrices, the choice of path, the
+start directions) and returns evaluate(r); `powered_majorant_ball` is one
+such evaluation, and each value depends on (f, p, t, seed, r) alone.
+
+The optimizer's plain update is the fixed-point map u <- T(u) = b w / sum(w)
+with w_i = u_i dF/du_i and b = r^t.  Where the terms use at most
+`NEWTON_MAX_DIM` coordinates, each update also solves (I - DT) d = T(u) - u
+on those coordinates for the Newton point u + d of u = T(u), and takes
+it, renormalized to the simplex, when it is strictly positive there and
+its value is at least that of T(u); unused coordinates stay at 0.  The
+starts advance together as the rows of one array.  A row stops after
+`PATIENCE` updates in a row within `REL_TOL`, and, where Newton points
+are tried, also after `STILL` updates in a row that each move its value
+by at most `STILL_ULPS` ulps; rows whose Newton points are refused (as
+at an optimum on a face) mostly stop by the first rule.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
 theorem gives the slope of the sup as that sum at the maximizer.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,10 +37,18 @@ from .errors import ConvergenceError, ParameterError, TailDivergenceError
 
 # The multistart ball optimizer: number of starts, update cap, and the
 # relative change below which `PATIENCE` updates in a row count as converged.
+# Newton points are tried only where at most `NEWTON_MAX_DIM` coordinates
+# appear in the terms: the step costs about that many plain updates, and
+# its outer products take that many squared floats per term.  There a row
+# also stops after `STILL` updates in a row that each move its value by at
+# most `STILL_ULPS` units in the last place.
 N_STARTS = 16
 MAX_ITER = 100_000
 REL_TOL = 1e-12
 PATIENCE = 50
+STILL = 3
+STILL_ULPS = 4
+NEWTON_MAX_DIM = 16
 
 
 @dataclass(frozen=True)
@@ -147,150 +170,261 @@ def _degree_one_max(coeffs, p, t, r):
     return MajorantValue(value=value, slope=p * value, exactness="exact", maximizer=z)
 
 
-def _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
-    points = [np.full(n, budget / n)]
-    for i in range(n):
-        u = np.full(n, 0.1 * budget / max(n - 1, 1))
-        u[i] = 0.9 * budget
+def _start_directions(n, alphas, coeffs, seed, n_starts):
+    """Multistart points on the unit simplex; scaled by b they are the starts
+    on sum u_i = b.  The centre, one point near each vertex, term-proportional
+    points for the four largest coefficients, then seeded random points."""
+    points = [np.full(n, 1.0 / n)]
+    for i in range(min(n, n_starts - 1)):
+        u = np.full(n, 0.1 / max(n - 1, 1))
+        u[i] = 0.9
         points.append(u)
-    # term-proportional starts for the largest-coefficient terms
-    order = np.argsort(-coeffs)
-    for j in order[:4]:
-        a = alphas[j]
-        if a.sum() > 0:
-            u = budget * (a + 0.05) / (a + 0.05).sum()
-            points.append(u)
+    for j in np.argsort(-coeffs)[:4]:
+        a = alphas[j] + 0.05
+        points.append(a / a.sum())
     rng = np.random.default_rng(seed)
     while len(points) < n_starts:
         w = rng.random(n) + 1e-6
-        points.append(budget * w / w.sum())
-    return points[:n_starts]
+        points.append(w / w.sum())
+    return np.array(points[:n_starts])
 
 
-def powered_majorant_ball(f, p, t, r, seed=0):
-    """Majorant over the l_t ball of radius r via simplex maximization.
+def ball_evaluator(f, p, t, seed=0):
+    """evaluate(r) -> the majorant over the l_t ball of radius r.
+
+    Everything that does not depend on r is done here once: the term
+    matrices, the choice between the closed forms and the optimizer, and
+    the optimizer's exponent and outer-product matrices and start
+    directions.  evaluate(r) depends on (f, p, t, seed, r) alone; no
+    evaluation starts from an earlier one.
 
     A present tail is bounded by its polydisk closed form and added on top.
     Closed forms cover single monomials and pure degree-1 families; the rest
-    runs deterministic multistart multiplicative updates on the simplex, all
-    starts in one batch.
+    runs the deterministic multistart optimizer on the simplex, all starts
+    in one batch.
     """
     if p <= 0:
         raise ParameterError(f"need p > 0, got {p}")
     if not (1.0 <= t < math.inf):
         raise ParameterError(f"need t in [1, inf), got {t}")
-    if not 0.0 <= r < 1.0:
-        raise ParameterError(f"need r in [0,1), got {r}")
-    tail_bound, tail_slope = _tail_block(f, p, r)
     alphas, coeffs = _terms(f, p)
     n = f.dimension
 
-    if len(coeffs) == 0 or r == 0.0:
-        return MajorantValue(
-            value=tail_bound,
-            slope=tail_slope,
-            exactness="exact" if f.tail is None else "optimizer",
-            maximizer=(r * n ** (-1.0 / t),) * n,
-        )
-
-    result = None
+    degrees = alphas.sum(axis=1)
+    closed = maximize = None
     if len(coeffs) == 1:
         alpha = tuple(int(a) for a in alphas[0])
-        result = _single_monomial_max(alpha, float(coeffs[0]), p, t, r)
-    elif np.all(alphas.sum(axis=1) == 1):
+        closed = functools.partial(_single_monomial_max, alpha, float(coeffs[0]), p, t)
+    elif len(coeffs) > 1 and np.all(degrees == 1):
         # reorder coefficients by coordinate so vertex/interior formulas apply
         by_coord = np.zeros(n)
         for row, c in zip(alphas, coeffs):
             by_coord[int(np.argmax(row))] += c
-        result = _degree_one_max(by_coord, p, t, r)
-    if result is not None:
-        if tail_bound > 0.0:
-            result = MajorantValue(
-                value=result.value + tail_bound,
-                slope=result.slope + tail_slope,
-                exactness="optimizer",
-                maximizer=result.maximizer,
+        closed = functools.partial(_degree_one_max, by_coord, p, t)
+    elif len(coeffs) > 1:
+        maximize = _simplex_maximizer(alphas, coeffs, p / t, seed)
+
+    def evaluate(r):
+        if not 0.0 <= r < 1.0:
+            raise ParameterError(f"need r in [0,1), got {r}")
+        tail_bound, tail_slope = _tail_block(f, p, r)
+        if len(coeffs) == 0 or r == 0.0:
+            return MajorantValue(
+                value=tail_bound,
+                slope=tail_slope,
+                exactness="exact" if f.tail is None else "optimizer",
+                maximizer=(r * n ** (-1.0 / t),) * n,
             )
-        return result
+        if closed is not None:
+            result = closed(r)
+            if tail_bound > 0.0:
+                result = MajorantValue(
+                    value=result.value + tail_bound,
+                    slope=result.slope + tail_slope,
+                    exactness="optimizer",
+                    maximizer=result.maximizer,
+                )
+            return result
+        best_value, best_u, terms, converged = maximize(r**t)
+        if not converged:
+            raise ConvergenceError(
+                "ball maximizer did not converge on any start",
+                best_value=best_value + tail_bound,
+                best_point=None if best_u is None else tuple(best_u ** (1.0 / t)),
+            )
+        # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
+        slope = p * float(terms @ degrees)
+        return MajorantValue(
+            value=best_value + tail_bound,
+            slope=slope + tail_slope,
+            exactness="optimizer",
+            maximizer=tuple(float(ui) ** (1.0 / t) for ui in best_u),
+        )
 
-    exponents = alphas * (p / t)  # shape (terms, n)
-    budget = r**t
+    return evaluate
 
+
+def _simplex_maximizer(alphas, coeffs, s, seed):
+    """maximize(budget) -> (value, u, per-term values at u, converged) for
+    F(u) = sum_k c_k prod_i u_i^(s alpha_ki) on the simplex sum u_i = budget;
+    the per-term values are None when no start converged.
+
+    Every start takes updates u <- T(u) = budget w / sum(w), where
+    w_i = u_i dF/du_i, or the safeguarded Newton point of u = T(u) when it
+    is better.  A coordinate that no term uses has w_i = 0, so both put 0
+    there, and the Newton system is solved on the used coordinates alone.
+    Where more than `NEWTON_MAX_DIM` are used, every update is plain and
+    only the `PATIENCE` rule stops a row, as before Newton steps were
+    added.  The starts advance together as the rows of one array; a row
+    leaves at the update where its own run would stop, and its last
+    iterate and value are kept.
+    """
+    n = alphas.shape[1]
+    exponents = alphas * s  # E, shape (terms, n)
     exponents_t = exponents.T
+    used = np.flatnonzero(alphas.any(axis=0))
+    m = len(used)
+    newton = m <= NEWTON_MAX_DIM
+    if newton:
+        # E_k E_k^T of each term on the used coordinates, flattened, so
+        # that H below is one product
+        e_used = exponents[:, used]
+        outer = (e_used[:, :, None] * e_used[:, None, :]).reshape(len(coeffs), m * m)
+        identity = np.eye(m)
+    directions = _start_directions(n, alphas, coeffs, seed, N_STARTS)
 
-    def evaluate(u):
+    def objective(u):
         """(objectives, per-term monomials) of every row of u, from one exp/log pass."""
         powers = np.exp(np.log(np.maximum(u, 1e-300)) @ exponents_t)
         return powers @ coeffs, coeffs * powers
 
-    # All starts advance together as the rows of one array.  `rows` maps the
-    # rows still running to their starts; a row leaves at the update where
-    # its own run would stop, and its last iterate and value are kept.
-    u = np.array(_multistart_points(n, budget, alphas, coeffs, seed, N_STARTS))
-    final_u = np.empty_like(u)
-    final_value = np.empty(len(u))
-    converged = np.zeros(len(u), dtype=bool)
-    rows = np.arange(len(u))
-    cur, mono = evaluate(u)
-    calm = np.zeros(len(u), dtype=int)
-    for _ in range(MAX_ITER):
-        if rows.size == 0:
-            break
-        w = mono @ exponents  # w_i = u_i * dF/du_i, per row
-        total_w = w.sum(axis=1)
-        stalled = total_w <= 0.0
-        if stalled.any():
-            final_u[rows[stalled]] = u[stalled]
-            final_value[rows[stalled]] = cur[stalled]
-            keep = ~stalled
-            rows, w, total_w, cur, calm = (a[keep] for a in (rows, w, total_w, cur, calm))
-        u = budget * w / total_w[:, None]
-        prev = cur
-        cur, mono = evaluate(u)
-        # objectives are nonnegative, so |cur| needs no abs
-        calm = (calm + 1) * (np.abs(cur - prev) <= REL_TOL * np.maximum(cur, 1.0))
-        done = calm >= PATIENCE
-        if done.any():
-            converged[rows[done]] = True
-            final_u[rows[done]] = u[done]
-            final_value[rows[done]] = cur[done]
-            keep = ~done
-            rows, u, mono, cur, calm = (a[keep] for a in (rows, u, mono, cur, calm))
-    final_u[rows] = u
-    final_value[rows] = cur
+    def newton_points(u, mono, total_w, plain, budget):
+        """(usable, points): u + d renormalised to the simplex, where
+        (I - DT) d = T(u) - u, and whether u + d is strictly positive on the
+        used coordinates; None when the linear solve fails.
 
-    # pick in start order: a larger value wins, a tie goes to the
-    # lexicographically larger point
-    best_value = -1.0
-    best_u = None
-    for value, row in zip(final_value.tolist(), final_u):
-        if value > best_value or (
-            value == best_value and best_u is not None and tuple(row) > tuple(best_u)
-        ):
-            best_value = value
-            best_u = row
-    if not converged.any():
-        raise ConvergenceError(
-            "ball maximizer did not converge on any start",
-            best_value=best_value + tail_bound,
-            best_point=None if best_u is None else tuple(best_u ** (1.0 / t)),
-        )
-    # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
-    _, terms = evaluate(best_u[None, :])
-    slope = p * float(terms[0] @ alphas.sum(axis=1))
-    z = tuple(float(ui) ** (1.0 / t) for ui in best_u)
-    return MajorantValue(
-        value=best_value + tail_bound,
-        slope=slope + tail_slope,
-        exactness="optimizer",
-        maximizer=z,
-    )
+        With H_ij = dw_i/du_j = (E^T diag(mono) E)_ij / u_j, the Jacobian of
+        T is DT = budget (H / S - w colsum(H)^T / S^2) = (budget H - T(u)
+        colsum(H)^T) / S, where S = sum(w).  Its rows and columns at unused
+        coordinates are 0, so there d = T(u) - u = -u and u + d = 0.
+        """
+        h = (mono @ outer).reshape(-1, m, m) / u[:, None, used]
+        total = total_w[:, None, None]
+        jac = (budget * h - plain[:, used, None] * h.sum(axis=1)[:, None, :]) / total
+        try:
+            d = np.linalg.solve(identity - jac, (plain - u)[:, used, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+        v = np.zeros_like(u)
+        v[:, used] = u[:, used] + d
+        # a non-finite v makes its point nan, whose value loses to any other
+        return (v[:, used] > 0.0).all(axis=1), v * (budget / v.sum(axis=1))[:, None]
+
+    def maximize(budget):
+        u = budget * directions
+        final_u = np.empty_like(u)
+        final_value = np.empty(len(u))
+        converged = np.zeros(len(u), dtype=bool)
+        rows = np.arange(len(u))
+        calm = np.zeros(len(u), dtype=int)
+        still = np.zeros(len(u), dtype=int)
+        # a row near a face can divide by an underflowed u_j; its Newton
+        # point is then refused, and a row whose values overflow stops
+        # unconverged, so the warnings say nothing
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            cur, mono = objective(u)
+            for _ in range(MAX_ITER):
+                if rows.size == 0:
+                    break
+                w = mono @ exponents  # w_i = u_i * dF/du_i, per row
+                total_w = w.sum(axis=1)
+                if not total_w.min() > 0.0:
+                    # vanished weights, or nan ones after an overflow: the
+                    # row stops unconverged
+                    stalled = ~(total_w > 0.0)
+                    final_u[rows[stalled]] = u[stalled]
+                    final_value[rows[stalled]] = cur[stalled]
+                    keep = ~stalled
+                    rows, u, mono, w, total_w, cur, calm, still = (
+                        a[keep] for a in (rows, u, mono, w, total_w, cur, calm, still)
+                    )
+                    if rows.size == 0:
+                        break
+                plain = budget * w / total_w[:, None]
+                prev = cur
+                step = newton_points(u, mono, total_w, plain, budget) if newton else None
+                if step is None:
+                    u = plain
+                    cur, mono = objective(u)
+                else:
+                    # both candidates of every row in one pass; row i of
+                    # `both` is its plain point, row k + i its Newton point
+                    usable, points = step
+                    both = np.concatenate((plain, points))
+                    values, monos = objective(both)
+                    k = len(plain)
+                    pick = np.arange(k)
+                    pick += k * (usable & (values[k:] >= values[:k]))
+                    u, cur, mono = both[pick], values[pick], monos[pick]
+                # objectives are nonnegative, so |cur| needs no abs
+                moved = np.abs(cur - prev)
+                calm_now = moved <= REL_TOL * np.maximum(cur, 1.0)
+                calm = (calm + 1) * calm_now
+                if not calm_now.any():
+                    # a move within STILL_ULPS ulps is also within REL_TOL,
+                    # so no row is still either
+                    still = calm
+                    continue
+                done = calm >= PATIENCE
+                if newton:
+                    still = (still + 1) * (moved <= STILL_ULPS * np.spacing(cur))
+                    done |= still >= STILL
+                if done.any():
+                    converged[rows[done]] = True
+                    final_u[rows[done]] = u[done]
+                    final_value[rows[done]] = cur[done]
+                    keep = ~done
+                    rows, u, mono, cur, calm, still = (
+                        a[keep] for a in (rows, u, mono, cur, calm, still)
+                    )
+        final_u[rows] = u
+        final_value[rows] = cur
+
+        # pick in start order: a larger value wins, a tie goes to the
+        # lexicographically larger point
+        best_value = -1.0
+        best_u = None
+        for value, row in zip(final_value.tolist(), final_u):
+            if value > best_value or (
+                value == best_value and best_u is not None and tuple(row) > tuple(best_u)
+            ):
+                best_value = value
+                best_u = row
+        if not converged.any():
+            return best_value, best_u, None, False
+        # a converged row has a finite value, so best_u is set
+        _, terms = objective(best_u[None, :])
+        return best_value, best_u, terms[0], True
+
+    return maximize
+
+
+def powered_majorant_ball(f, p, t, r, seed=0):
+    """Majorant over the l_t ball of radius r: one evaluation of
+    `ball_evaluator(f, p, t, seed)`."""
+    return ball_evaluator(f, p, t, seed)(r)
+
+
+def evaluator(f, p, domain, seed=0):
+    """evaluate(r) -> the majorant over the domain of radius r: the polydisk
+    closed form, or `ball_evaluator(f, p, domain.t, seed)`."""
+    if domain.kind == "polydisk":
+        return lambda r: powered_majorant_polydisk(f, p, r)
+    return ball_evaluator(f, p, domain.t, seed)
 
 
 def powered_majorant(f, p, domain, r, seed=0):
-    if domain.kind == "polydisk":
-        return powered_majorant_polydisk(f, p, r)
-    return powered_majorant_ball(f, p, domain.t, r, seed=seed)
+    return evaluator(f, p, domain, seed)(r)
 
 
 def torus_sup_lower_bound(coefficients, dimension, samples, seed=0, domain=None):

@@ -138,8 +138,10 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     if not f.has_degree_mass():
         return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)
 
+    majorant = maj.evaluator(f, p, domain, seed)
+
     def evaluate(r):
-        mv = maj.powered_majorant(f, p, domain, r, seed=seed)
+        mv = majorant(r)
         return mv.value, mv.slope
 
     return bisect_unit_crossing(evaluate, tol=tol)
@@ -222,10 +224,10 @@ def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
             return holo.value + anti.value, holo.slope + anti.slope
 
     else:
-        merged = merged_weight_family(pf, p)
+        majorant = maj.evaluator(merged_weight_family(pf, p), p, domain, seed)
 
         def evaluate(r):
-            mv = maj.powered_majorant_ball(merged, p, t, r, seed=seed)
+            mv = majorant(r)
             return mv.value, mv.slope
 
     if not (pf.holo.has_degree_mass() or pf.anti.has_degree_mass()):

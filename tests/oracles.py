@@ -2,8 +2,9 @@
 
 The grid oracle evaluates the ball majorant by dense simplex sampling plus
 SLSQP refinement and never touches the multiplicative-update path.  The
-serial ball optimizer runs the same multiplicative updates one start at a
-time, as a reference for the batched loop in `powered_majorant_ball`.
+serial ball optimizer runs the same updates one start at a time, plain or
+with the Newton step, as a reference for the batched loop in
+`powered_majorant_ball`.
 The recursive enumeration and the per-row identity residual are the loop
 versions of the block-wise `enumerate_degree` and
 `multinomial_identity_residual`.  The signed Moebius coefficients feed the
@@ -13,9 +14,9 @@ torus sampling checks.
 import numpy as np
 from scipy.optimize import minimize
 
-from bohrlab import explicit
+from bohrlab import explicit, majorant
 from bohrlab.errors import ConvergenceError
-from bohrlab.majorant import _multistart_points, _terms
+from bohrlab.majorant import _start_directions, _terms
 from bohrlab.multiindex import enumerate_degree, multinomial_weight
 
 
@@ -108,9 +109,28 @@ def grid_oracle_ball(f, p, t, r, grid=400):
 
 
 def serial_ball_optimizer(
-    f, p, t, r, seed=0, n_starts=16, max_iter=100_000, rel_tol=1e-12, patience=50
+    f,
+    p,
+    t,
+    r,
+    seed=0,
+    n_starts=16,
+    max_iter=100_000,
+    rel_tol=1e-12,
+    patience=50,
+    accelerated=False,
 ):
     """(value, maximizer z) of the multistart updates, one start after another.
+
+    By default every update is the plain multiplicative one, u <- T(u) =
+    budget w / sum(w) with w_i = u_i dF/du_i, and a start stops after
+    `patience` updates in a row that change its value by at most `rel_tol`
+    relative.  With `accelerated`, and as long as the terms use at most
+    `majorant.NEWTON_MAX_DIM` coordinates, an update takes the Newton point
+    of u = T(u) instead when it is finite, strictly positive on those
+    coordinates and no worse than T(u), and a start also stops after 3
+    updates in a row that each move its value by at most 4 units in the
+    last place.
 
     Covers families without a tail that reach the optimizer path of
     `powered_majorant_ball`; raises `ConvergenceError` as it does.
@@ -119,33 +139,61 @@ def serial_ball_optimizer(
     n = f.dimension
     exponents = alphas * (p / t)
     budget = r**t
+    used = [i for i in range(n) if alphas[:, i].any()]
+    accelerated = accelerated and len(used) <= majorant.NEWTON_MAX_DIM
 
     def evaluate(u):
         powers = np.exp(exponents @ np.log(np.maximum(u, 1e-300)))
         return float(coeffs @ powers), coeffs * powers
 
+    def newton_point(u, mono, w, total_w, plain):
+        """Renormalised u + d with (I - DT) d = T(u) - u, or None.
+
+        DT vanishes in the rows and columns of unused coordinates, where
+        u + d is therefore 0; the system is solved on the used ones.
+        """
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # H_ij = dw_i/du_j
+            h = np.array(
+                [[sum(m * e[i] * e[j] for m, e in zip(mono, exponents)) / u[j]
+                  for j in used] for i in used]
+            )
+            jac = budget * (h / total_w - np.outer(w[used], h.sum(axis=0)) / total_w**2)
+            try:
+                d = np.linalg.solve(np.eye(len(used)) - jac, (plain - u)[used])
+            except np.linalg.LinAlgError:
+                return None
+            v = np.zeros(n)
+            v[used] = u[used] + d
+        if not (np.all(np.isfinite(v)) and np.all(v[used] > 0.0)):
+            return None
+        return budget * v / v.sum()
+
     best_value = -1.0
     best_u = None
     converged_any = False
-    for u in _multistart_points(n, budget, alphas, coeffs, seed, n_starts):
-        u = u.copy()
+    for u in budget * _start_directions(n, alphas, coeffs, seed, n_starts):
         cur, mono = evaluate(u)
         prev = cur
-        calm = 0
+        calm = quiet = 0
         for _ in range(max_iter):
             w = exponents.T @ mono
             total_w = float(w.sum())
-            if total_w <= 0.0:
+            if not total_w > 0.0:  # vanished, or nan after an overflow
                 break
-            u = budget * w / total_w
+            plain = budget * w / total_w
+            newton = newton_point(u, mono, w, total_w, plain) if accelerated else None
+            u = plain
             cur, mono = evaluate(u)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0):
-                calm += 1
-                if calm >= patience:
-                    converged_any = True
-                    break
-            else:
-                calm = 0
+            if newton is not None:
+                newton_value, newton_mono = evaluate(newton)
+                if newton_value >= cur:
+                    u, cur, mono = newton, newton_value, newton_mono
+            calm = calm + 1 if abs(cur - prev) <= rel_tol * max(abs(cur), 1.0) else 0
+            quiet = quiet + 1 if abs(cur - prev) <= 4 * np.spacing(cur) else 0
+            if calm >= patience or (accelerated and quiet >= 3):
+                converged_any = True
+                break
             prev = cur
         if cur > best_value or (
             cur == best_value and best_u is not None and tuple(u) > tuple(best_u)

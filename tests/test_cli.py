@@ -50,10 +50,37 @@ def test_parse_errors():
 
 def test_config_file_flag_precedence(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("command=exact-h2\nn=2\np=1\nseed=42\n")
-    config = parse_config(["exact-h2", "--config", str(path), "--seed", "7"])
+    path.write_text("command=maximize-ball\np=1\nt=2\nr=0.5\nseed=42\n")
+    config = parse_config(["maximize-ball", "--config", str(path), "--seed", "7"])
     assert config.seed == 7
-    assert config.params["n"] == 2
+    assert config.params["r"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact-h2", "--n", "10", "--p", "1", "--seed", "5"],
+        ["witness", "--n", "9", "--p", "1", "--q", "2", "--seed", "5"],
+        ["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5", "--seed", "5"],
+        ["exact-h2", "--n", "10", "--p", "1", "--output", "csv"],
+        ["fit", "--generator", "exact-h2", "--p", "1", "--n-list", "10,100", "--output", "csv"],
+        ["solve", "--p", "1", "--preset", "moebius", "--a", "0.5", "--output", "json"],
+    ],
+    ids=lambda argv: f"{argv[0]}_{argv[-2][2:]}",
+)
+def test_seed_and_output_refused_where_unused(capsys, argv):
+    # --seed reaches only the ball optimizer, --output only sweep's CSV
+    assert main(argv) == EXIT_UNKNOWN
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: unknown key for {argv[0]}: {argv[-2]}\n"
+
+
+def test_seed_refused_from_config_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("command=witness\nn=16\np=1.2\nq=3\nt=2\nseed=9\n")
+    with pytest.raises(UsageError) as err:
+        parse_config(["witness", "--config", str(path)])
+    assert err.value.code == EXIT_UNKNOWN
 
 
 def test_exact_h2_output():

@@ -12,6 +12,7 @@ from bohrlab.majorant import (
     powered_majorant_polydisk,
     torus_sup_lower_bound,
 )
+from bohrlab.radius import solve_bohr_radius
 from oracles import (
     grid_oracle_ball,
     moebius_signed_coefficients,
@@ -140,6 +141,16 @@ def test_ball_deterministic_in_seed():
         assert a.value == b.value and a.maximizer == b.maximizer
 
 
+def test_ball_evaluator_values_do_not_depend_on_earlier_evaluations():
+    # a solve reuses one evaluator; each value must equal a fresh evaluation
+    for f, p, t, r in optimizer_cases(9, 5):
+        evaluate = majorant.ball_evaluator(f, p, t, seed=3)
+        for x in [r, 0.5 * r, r, 0.9 * r]:
+            got = evaluate(x)
+            fresh = powered_majorant_ball(f, p, t, x, seed=3)
+            assert got == fresh
+
+
 def test_ball_batched_starts_match_serial_reference():
     cases = optimizer_cases(20261018, 120)
     assert {c[0].dimension for c in cases} == {2, 3, 4}
@@ -168,10 +179,100 @@ def test_ball_unconverged_raises_with_best_found(monkeypatch):
         with pytest.raises(ConvergenceError) as err:
             powered_majorant_ball(f, 1.0, 2.0, r)
         with pytest.raises(ConvergenceError) as ref:
-            serial_ball_optimizer(f, 1.0, 2.0, r, max_iter=max_iter)
+            serial_ball_optimizer(f, 1.0, 2.0, r, max_iter=max_iter, accelerated=True)
         assert err.value.best_value == pytest.approx(ref.value.best_value, rel=1e-12)
         assert err.value.best_point == pytest.approx(ref.value.best_point, rel=1e-12)
         assert len(err.value.best_point) == 2
+
+
+# the near-face family of the ball benchmark (cell 7 at t = 2, p = 1): its
+# maximizer lies close to a face of the simplex, where plain updates crawl
+NEAR_FACE = family.explicit(
+    3,
+    {
+        (0, 0, 1): 2.254316115718355,
+        (0, 2, 1): 5.667743983446935,
+        (1, 0, 2): 1.5167605668409838,
+        (1, 2, 1): 5.128550447390775,
+    },
+)
+
+
+def test_ball_near_face_family_reaches_the_sup():
+    got = powered_majorant_ball(NEAR_FACE, 1.0, 2.0, 0.44).value
+    # plain updates run until the value no longer moves at all
+    settled, _ = serial_ball_optimizer(NEAR_FACE, 1.0, 2.0, 0.44, rel_tol=0.0, patience=100)
+    assert got == pytest.approx(settled, rel=1e-13)
+    assert got == pytest.approx(grid_oracle_ball(NEAR_FACE, 1.0, 2.0, 0.44), rel=1e-13)
+
+
+def counting_linear_solves(monkeypatch):
+    """A list that gains an entry at every np.linalg.solve call; below
+    NEWTON_MAX_DIM used coordinates, every optimizer update makes one."""
+    solves = []
+    real_solve = np.linalg.solve
+
+    def counting_solve(*args):
+        solves.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return solves
+
+
+def test_ball_near_face_family_solves_onto_the_crossing(monkeypatch):
+    solves = counting_linear_solves(monkeypatch)
+    res = solve_bohr_radius(NEAR_FACE, 1.0, DomainSpec.lt_ball(2.0))
+    monkeypatch.undo()
+    assert len(solves) <= 40 * res.evaluations
+    # the independent oracle's crossing lies within 1e-13 of the radius
+    below = grid_oracle_ball(NEAR_FACE, 1.0, 2.0, res.value - 1e-13)
+    above = grid_oracle_ball(NEAR_FACE, 1.0, 2.0, res.value + 1e-13)
+    assert below <= 1.0 < above
+
+
+def padded(f, n):
+    """f in the first coordinates of n; the others appear in no term."""
+    pad = (0,) * (n - f.dimension)
+    return family.explicit(n, {a + pad: v for a, v in f.entries.items()})
+
+
+def test_ball_unused_coordinates_stay_out_of_the_newton_system():
+    # the system is solved on the 3 used coordinates, so padding reaches the
+    # same sup at any dimension, with 0 on the unused coordinates
+    want = powered_majorant_ball(NEAR_FACE, 1.0, 2.0, 0.44).value
+    for n in [4, 40, 1000]:
+        res = powered_majorant_ball(padded(NEAR_FACE, n), 1.0, 2.0, 0.44)
+        assert res.value == pytest.approx(want, rel=1e-13)
+        assert res.maximizer[3:] == (0.0,) * (n - 3)
+
+
+def test_ball_above_newton_dimension_takes_plain_updates(monkeypatch):
+    monkeypatch.setattr(majorant, "NEWTON_MAX_DIM", 2)
+    solves = counting_linear_solves(monkeypatch)
+    res = powered_majorant_ball(NEAR_FACE, 1.0, 2.0, 0.44)
+    assert solves == []
+    want, _ = serial_ball_optimizer(NEAR_FACE, 1.0, 2.0, 0.44)
+    assert abs(res.value - want) <= 1e-12 * want
+
+
+def test_ball_overflowing_values_raise_without_a_point(monkeypatch):
+    # the weights overflow at the first update, so every start stops on nan
+    # at the second instead of running MAX_ITER updates
+    huge = family.explicit(1, {(1,): 1.7e308, (2,): 1.7e308})
+    solves = counting_linear_solves(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        powered_majorant_ball(huge, 1.0, 1.0, 0.99)
+    assert err.value.best_point is None
+    assert len(solves) <= 2
+
+
+def test_powered_majorant_dispatches_on_the_domain():
+    f = family.explicit(2, {(2, 1): 0.8, (1, 0): 0.3, (0, 2): 0.5})
+    polydisk = majorant.powered_majorant(f, 1.0, DomainSpec.polydisk(), 0.6)
+    assert polydisk == powered_majorant_polydisk(f, 1.0, 0.6)
+    ball = majorant.powered_majorant(f, 1.0, DomainSpec.lt_ball(2.0), 0.6, seed=3)
+    assert ball == powered_majorant_ball(f, 1.0, 2.0, 0.6, seed=3)
 
 
 def log_r_central_difference(evaluate, r, h=1e-6):
