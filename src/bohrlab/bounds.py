@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from . import multiindex
 from .errors import NotCertifiedError, ParameterError
-from .radius import RadiusResult, TOP_RADIUS
+from .family import linear_form_scale
+from .radius import RadiusResult, TOP_RADIUS, saturated_at_one
 
 SANDWICH_SLACK = 1e-12
 COEFFICIENT_SLACK = 1e-12
@@ -58,12 +59,15 @@ def certified_lower_bound(cert, mode="closed_form"):
 
     closed_form: 1 / (2^(1/p) (2e)^(1/p-1/q) C n^(1/p-1/q)), the explicit
     inequality chain; n-independent 1/(2^(1/p) C) when p = q.
-    numeric: the largest r with sum_k (C r)^(pk) count(n,k)^(1-p/q) <= 1,
-    using exact counts; always at least the closed form.
+    numeric: the lower end of a bisection bracket, of width CERTIFICATE_TOL,
+    on the crossing of sum_k (C r)^(pk) count(n,k)^(1-p/q) through 1, using
+    exact counts; the series was evaluated <= 1 there.  The closed form
+    never exceeds the crossing, so this is at least the closed form less
+    CERTIFICATE_TOL.
     """
     n, p, q, c = cert.n, cert.p, cert.q, cert.C
     if c == 0.0:
-        return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)
+        return saturated_at_one()
     gap = 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
     if mode == "closed_form":
         value = 1.0 / (2.0 ** (1.0 / p) * (2.0 * math.e) ** gap * c * n**gap)
@@ -99,27 +103,19 @@ def certified_lower_bound(cert, mode="closed_form"):
         evals += 1
         return series(r)
 
-    if evaluate(TOP_RADIUS if c <= 1.0 else (1.0 - 1e-12) / c) <= 1.0:
-        value = min(1.0, 1.0 / c)
-        return RadiusResult(
-            value=value,
-            method="saturated_at_one" if value >= 1.0 else "certified_lower",
-            residual=0.0,
-            bracket=(value, value),
-            evaluations=evals,
-        )
     lo, hi = 0.0, min(TOP_RADIUS, (1.0 - 1e-12) / c)
+    if evaluate(hi) <= 1.0:  # only for C <= 1: above it the series passes 4 at hi
+        return saturated_at_one(evals)
     while hi - lo > CERTIFICATE_TOL:
         mid = 0.5 * (lo + hi)
         if evaluate(mid) <= 1.0:
             lo = mid
         else:
             hi = mid
-    value = 0.5 * (lo + hi)
     return RadiusResult(
-        value=value,
+        value=lo,
         method="certified_lower",
-        residual=abs(evaluate(value) - 1.0),
+        residual=abs(evaluate(lo) - 1.0),
         bracket=(lo, hi),
         evaluations=evals,
     )
@@ -136,10 +132,8 @@ def witness_upper_linear_form(n, p, q, t):
         raise ParameterError(f"need n >= 1, got {n}")
     if p <= 0 or not (q >= 1.0) or not (t >= 1.0):
         raise ParameterError(f"parameters out of range: p={p}, q={q}, t={t}")
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
-    m = max(1.0, n ** (inv_q - inv_t))
-    value = min(1.0, m * n ** (inv_t - 1.0 / p))
+    value = min(1.0, linear_form_scale(n, q, t) * n ** (inv_t - 1.0 / p))
     return RadiusResult(
         value=value, method="witness_upper", residual=0.0, bracket=(value, value)
     )

@@ -32,9 +32,6 @@ class UsageError(Exception):
 class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
-    seed: int = 0
-    output: str = "json"
-    tol: float | None = None
 
 
 @dataclass(frozen=True)
@@ -188,14 +185,7 @@ def parse_config(argv):
         elif spec.default is not None:
             resolved[key] = spec.default
 
-    config = RunConfig(
-        command=command,
-        params={k: v for k, v in resolved.items() if k not in ("seed", "output", "tol")},
-        seed=resolved.get("seed", 0),
-        output=resolved.get("output", "json"),
-        tol=resolved.get("tol"),
-    )
-    return config
+    return RunConfig(command=command, params=resolved)
 
 
 def _fmt(value):
@@ -281,17 +271,12 @@ def _holo_anti(text):
     return tuple(family.from_json(json.dumps(doc[part])) for part in ("holo", "anti"))
 
 
-def _config_echo(config):
-    doc = {"seed": config.seed, "output": config.output}
-    if config.tol is not None:
-        doc["tol"] = config.tol
-    for key, value in sorted(config.params.items()):
-        doc[key] = value
-    return doc
-
-
-def _tol(config):
-    return config.tol if config.tol is not None else radius.DEFAULT_TOL
+def _config_echo(params):
+    """The parameters: seed and output first, echoed by every command, then
+    tol where given, then the rest in key order."""
+    doc = {"seed": 0, "output": "json", **params}
+    order = dict.fromkeys(["seed", "output", "tol", *sorted(doc)])
+    return {key: doc[key] for key in order if key in doc}
 
 
 def _certifier(mode):
@@ -363,7 +348,8 @@ def _solve(config, stdin_text):
     prm = config.params
     f = _family(prm, stdin_text)
     domain = majorant.DomainSpec.from_t(prm["t"])
-    res = radius.solve_bohr_radius(f, prm["p"], domain, tol=_tol(config), seed=config.seed)
+    tol = prm.get("tol", radius.DEFAULT_TOL)
+    res = radius.solve_bohr_radius(f, prm["p"], domain, tol=tol, seed=prm["seed"])
     return res.to_dict()
 
 
@@ -376,7 +362,8 @@ def _pluri(config, stdin_text):
     else:
         holo, anti = _stdin_json(stdin_text, "pluri needs a preset or stdin JSON", _holo_anti)
     pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
-    res = radius.pluriharmonic_radius(pf, prm["p"], prm["t"], tol=_tol(config), seed=config.seed)
+    tol = prm.get("tol", radius.DEFAULT_TOL)
+    res = radius.pluriharmonic_radius(pf, prm["p"], prm["t"], tol=tol, seed=prm["seed"])
     return res.to_dict()
 
 
@@ -448,7 +435,7 @@ def _sandwich(config, stdin_text):
 def _maximize_ball(config, stdin_text):
     prm = config.params
     f = _family(prm, stdin_text)
-    mv = majorant.powered_majorant_ball(f, prm["p"], prm["t"], prm["r"], seed=config.seed)
+    mv = majorant.powered_majorant_ball(f, prm["p"], prm["t"], prm["r"], seed=prm["seed"])
     return {
         "value": mv.value,
         "exactness": mv.exactness,
@@ -464,7 +451,7 @@ def _maximize_ball(config, stdin_text):
 )
 def _sweep(config, stdin_text):
     records = _records(config.params)
-    if config.output == "csv":
+    if config.params["output"] == "csv":
         return emit_sweep_csv(records)
     return {"records": [[rec.n, rec.value] for rec in records]}
 
@@ -504,7 +491,7 @@ def run(config, stdin_text=None):
     result = COMMANDS[config.command].handler(config, stdin_text)
     if isinstance(result, str):
         return EXIT_OK, result
-    doc = {"command": config.command, "config": _config_echo(config), "result": result}
+    doc = {"command": config.command, "config": _config_echo(config.params), "result": result}
     return EXIT_OK, emit_json(doc)
 
 

@@ -72,14 +72,17 @@ class CoefficientFamily:
     def degree_power_sums(self, p):
         """Map k -> sum of ||x_alpha||^p over explicit entries of degree k >= 1."""
         sums = {}
-        for alpha, value in self.entries.items():
-            # the value test comes first: it skips summing a zero entry's index
-            if value == 0.0:
-                continue
-            k = sum(alpha)
-            if k == 0:
-                continue
-            sums[k] = sums.get(k, 0.0) + value**p
+        try:
+            for alpha, value in self.entries.items():
+                # the value test comes first: it skips summing a zero entry's index
+                if value == 0.0:
+                    continue
+                k = sum(alpha)
+                if k == 0:
+                    continue
+                sums[k] = sums.get(k, 0.0) + value**p
+        except OverflowError:
+            raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
         return sums
 
     def tail_block(self, s):

@@ -83,7 +83,7 @@ class DomainSpec:
 class MajorantValue:
     value: float
     slope: float  # dS/d(log r)
-    exactness: str  # "exact" | "lower_bound" | "optimizer"
+    exactness: str  # "exact" | "optimizer"
     maximizer: tuple | None = None
 
 
@@ -125,10 +125,13 @@ def _terms(f, p):
     """(alpha matrix, ||x||^p coefficients) over positive entries of degree >= 1."""
     alphas = []
     coeffs = []
-    for alpha, value in sorted(f.entries.items()):
-        if sum(alpha) >= 1 and value > 0.0:
-            alphas.append(alpha)
-            coeffs.append(value**p)
+    try:
+        for alpha, value in sorted(f.entries.items()):
+            if sum(alpha) >= 1 and value > 0.0:
+                alphas.append(alpha)
+                coeffs.append(value**p)
+    except OverflowError:
+        raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
     if not alphas:
         return np.zeros((0, f.dimension)), np.zeros(0)
     return np.array(alphas, dtype=float), np.array(coeffs)
@@ -145,8 +148,7 @@ def _single_monomial_max(alpha, coeff, p, t, r):
         value = 0.0
     budget = r**t
     u = [budget * a / k for a in alpha]
-    z = tuple(ui ** (1.0 / t) for ui in u)
-    return MajorantValue(value=value, slope=p * k * value, exactness="exact", maximizer=z)
+    return value, p * k * value, tuple(ui ** (1.0 / t) for ui in u)
 
 
 def _degree_one_max(coeffs, p, t, r):
@@ -165,9 +167,8 @@ def _degree_one_max(coeffs, p, t, r):
         value = float(coeffs[i]) * budget**s
         u = np.zeros_like(coeffs)
         u[i] = budget
-    z = tuple(float(ui) ** (1.0 / t) for ui in u)
     # value is homogeneous of degree p in r
-    return MajorantValue(value=value, slope=p * value, exactness="exact", maximizer=z)
+    return value, p * value, tuple(float(ui) ** (1.0 / t) for ui in u)
 
 
 def _start_directions(n, alphas, coeffs, seed, n_starts):
@@ -229,36 +230,27 @@ def ball_evaluator(f, p, t, seed=0):
             raise ParameterError(f"need r in [0,1), got {r}")
         tail_bound, tail_slope = _tail_block(f, p, r)
         if len(coeffs) == 0 or r == 0.0:
-            return MajorantValue(
-                value=tail_bound,
-                slope=tail_slope,
-                exactness="exact" if f.tail is None else "optimizer",
-                maximizer=(r * n ** (-1.0 / t),) * n,
-            )
-        if closed is not None:
-            result = closed(r)
-            if tail_bound > 0.0:
-                result = MajorantValue(
-                    value=result.value + tail_bound,
-                    slope=result.slope + tail_slope,
-                    exactness="optimizer",
-                    maximizer=result.maximizer,
+            value, slope, z = 0.0, 0.0, (r * n ** (-1.0 / t),) * n
+        elif closed is not None:
+            value, slope, z = closed(r)
+        else:
+            value, u, terms, converged = maximize(r**t)
+            if not converged:
+                raise ConvergenceError(
+                    "ball maximizer did not converge on any start",
+                    best_value=value + tail_bound,
+                    best_point=None if u is None else tuple(u ** (1.0 / t)),
                 )
-            return result
-        best_value, best_u, terms, converged = maximize(r**t)
-        if not converged:
-            raise ConvergenceError(
-                "ball maximizer did not converge on any start",
-                best_value=best_value + tail_bound,
-                best_point=None if best_u is None else tuple(best_u ** (1.0 / t)),
-            )
-        # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
-        slope = p * float(terms @ degrees)
+            # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
+            slope = p * float(terms @ degrees)
+            z = tuple(float(ui) ** (1.0 / t) for ui in u)
+        # exact: a closed form or the empty sum, and no tail mass at r
+        exact = (maximize is None or r == 0.0) and tail_bound == 0.0
         return MajorantValue(
-            value=best_value + tail_bound,
+            value=value + tail_bound,
             slope=slope + tail_slope,
-            exactness="optimizer",
-            maximizer=tuple(float(ui) ** (1.0 / t) for ui in best_u),
+            exactness="exact" if exact else "optimizer",
+            maximizer=z,
         )
 
     return evaluate
@@ -328,28 +320,36 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         rows = np.arange(len(u))
         calm = np.zeros(len(u), dtype=int)
         still = np.zeros(len(u), dtype=int)
+        done = np.zeros(len(u), dtype=bool)
         # a row near a face can divide by an underflowed u_j; its Newton
         # point is then refused, and a row whose values overflow stops
         # unconverged, so the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cur, mono = objective(u)
-            for _ in range(MAX_ITER):
-                if rows.size == 0:
-                    break
-                w = mono @ exponents  # w_i = u_i * dF/du_i, per row
+            for update in range(MAX_ITER + 1):
+                # w_i = u_i * dF/du_i, per row, taken over the rows the last
+                # update did not finish: a product over more rows can round
+                # differently
+                finished = done.any()
+                w = (mono[~done] if finished else mono) @ exponents
                 total_w = w.sum(axis=1)
-                if not total_w.min() > 0.0:
-                    # vanished weights, or nan ones after an overflow: the
-                    # row stops unconverged
-                    stalled = ~(total_w > 0.0)
-                    final_u[rows[stalled]] = u[stalled]
-                    final_value[rows[stalled]] = cur[stalled]
-                    keep = ~stalled
-                    rows, u, mono, w, total_w, cur, calm, still = (
-                        a[keep] for a in (rows, u, mono, w, total_w, cur, calm, still)
+                if finished or not total_w.min() > 0.0 or update == MAX_ITER:
+                    # the one exit, each row with its last iterate: converged
+                    # when the last update finished it; unconverged when its
+                    # weights vanished or turned nan (after an overflow), or
+                    # once MAX_ITER updates are spent
+                    weighted = total_w > 0.0
+                    going = ~done
+                    going[going] = weighted if update < MAX_ITER else False
+                    converged[rows[done]] = True
+                    final_u[rows[~going]] = u[~going]
+                    final_value[rows[~going]] = cur[~going]
+                    rows, u, mono, cur, calm, still = (
+                        a[going] for a in (rows, u, mono, cur, calm, still)
                     )
                     if rows.size == 0:
                         break
+                    w, total_w = w[weighted], total_w[weighted]
                 plain = budget * w / total_w[:, None]
                 prev = cur
                 step = newton_points(u, mono, total_w, plain, budget) if newton else None
@@ -372,23 +372,14 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                 calm = (calm + 1) * calm_now
                 if not calm_now.any():
                     # a move within STILL_ULPS ulps is also within REL_TOL,
-                    # so no row is still either
+                    # so no row is still, nor done, either
                     still = calm
+                    done = calm_now
                     continue
                 done = calm >= PATIENCE
                 if newton:
                     still = (still + 1) * (moved <= STILL_ULPS * np.spacing(cur))
                     done |= still >= STILL
-                if done.any():
-                    converged[rows[done]] = True
-                    final_u[rows[done]] = u[done]
-                    final_value[rows[done]] = cur[done]
-                    keep = ~done
-                    rows, u, mono, cur, calm, still = (
-                        a[keep] for a in (rows, u, mono, cur, calm, still)
-                    )
-        final_u[rows] = u
-        final_value[rows] = cur
 
         # pick in start order: a larger value wins, a tie goes to the
         # lexicographically larger point

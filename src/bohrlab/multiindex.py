@@ -133,15 +133,18 @@ def multinomial_identity_residual(x, k):
     The left side is summed over the enumeration blocks as arrays, with
     each weight k!/alpha! from a factorial table and each term formed in
     the order float(weight) * x_1^alpha_1 * ... * x_n^alpha_n.  Raises
-    ParameterError for an entry of x that is negative or not finite, and
-    OverflowError when a weight or (sum x_i)^k exceeds the float range.
+    ParameterError for an entry of x that is negative or not finite, or
+    when a weight or (sum x_i)^k exceeds the float range.
     """
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
     x = [float(xi) for xi in x]
     if not all(math.isfinite(xi) and xi >= 0 for xi in x):
         raise ParameterError("entries of x must be finite and nonnegative")
-    rhs = sum(x) ** k
+    try:
+        rhs = sum(x) ** k
+    except OverflowError:
+        raise ParameterError(f"(sum x_i)^{k} exceeds the float range") from None
     mant, expo = _factorials(k)
     powers = np.power.outer(x, np.arange(k + 1))  # powers[i, a] = x_i ** a
     lhs = 0.0
@@ -149,7 +152,7 @@ def multinomial_identity_residual(x, k):
         m, e = np.frexp(mant[k] / mant[parts].prod(axis=1))
         e += expo[k] - expo[parts].sum(axis=1)
         if e.max() > 1024:
-            raise OverflowError(f"a multinomial weight of degree {k} exceeds the float range")
+            raise ParameterError(f"a multinomial weight of degree {k} exceeds the float range")
         terms = np.ldexp(m, e)
         for i, column in enumerate(parts.T):
             terms *= powers[i, column]

@@ -42,6 +42,12 @@ class RadiusResult:
         }
 
 
+def saturated_at_one(evaluations=0):
+    """The radius 1, for an S with S(TOP_RADIUS) <= 1: TOP_RADIUS is the
+    only point checked, so the bracket is (TOP_RADIUS, 1)."""
+    return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), evaluations)
+
+
 def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
     """Largest r in [0,1] with S(r) <= 1, for a nondecreasing S with
     evaluate(r) = (S(r), dS/d(log r)).
@@ -87,13 +93,7 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
     x = TOP_RADIUS  # the point evaluated last
     s, slope = safe(x)
     if s <= 1.0:
-        return RadiusResult(
-            value=1.0,
-            method="saturated_at_one",
-            residual=0.0,
-            bracket=(TOP_RADIUS, 1.0),
-            evaluations=evals,
-        )
+        return saturated_at_one(evals)
     lo, hi = 0.0, TOP_RADIUS
     while True:
         width = min(tol, REL_WIDTH * hi)
@@ -136,7 +136,7 @@ def _newton_point(r, value, slope):
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1."""
     if not f.has_degree_mass():
-        return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)
+        return saturated_at_one()
 
     majorant = maj.evaluator(f, p, domain, seed)
 
@@ -194,17 +194,22 @@ class PluriharmonicFamily:
 def merged_weight_family(pf, p):
     """Entries (|a_alpha|^p + |b_alpha|^p)^(1/p) over the union of indices.
 
-    Requires both parts tail-free; tails are handled by the caller through
-    the one-sided polydisk closed forms.
+    Requires p > 0 and both parts tail-free; tails are handled by the caller
+    through the one-sided polydisk closed forms.
     """
+    if p <= 0:
+        raise ParameterError(f"need p > 0, got {p}")
     if pf.holo.tail is not None or pf.anti.tail is not None:
         raise ParameterError("merged family needs tail-free parts")
     keys = set(pf.holo.entries) | set(pf.anti.entries)
     entries = {}
-    for alpha in keys:
-        a = pf.holo.entries.get(alpha, 0.0)
-        b = pf.anti.entries.get(alpha, 0.0)
-        entries[alpha] = (a**p + b**p) ** (1.0 / p)
+    try:
+        for alpha in keys:
+            a = pf.holo.entries.get(alpha, 0.0)
+            b = pf.anti.entries.get(alpha, 0.0)
+            entries[alpha] = (a**p + b**p) ** (1.0 / p)
+    except OverflowError:
+        raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
     return fam.explicit(pf.holo.dimension, entries, label="pluriharmonic merge")
 
 
@@ -216,20 +221,15 @@ def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
     domain = maj.DomainSpec.from_t(t)
     if anti_empty:
         return solve_bohr_radius(pf.holo, p, domain, tol=tol, seed=seed)
-    if domain.kind == "polydisk":
-        # separable sup: the combined sum splits exactly into the two parts
-        def evaluate(r):
-            holo = maj.powered_majorant_polydisk(pf.holo, p, r)
-            anti = maj.powered_majorant_polydisk(pf.anti, p, r)
-            return holo.value + anti.value, holo.slope + anti.slope
-
-    else:
-        majorant = maj.evaluator(merged_weight_family(pf, p), p, domain, seed)
-
-        def evaluate(r):
-            mv = majorant(r)
-            return mv.value, mv.slope
-
+    if domain.kind != "polydisk":
+        return solve_bohr_radius(merged_weight_family(pf, p), p, domain, tol=tol, seed=seed)
     if not (pf.holo.has_degree_mass() or pf.anti.has_degree_mass()):
-        return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), 0)
+        return saturated_at_one()
+
+    # separable sup: the combined sum splits exactly into the two parts
+    def evaluate(r):
+        holo = maj.powered_majorant_polydisk(pf.holo, p, r)
+        anti = maj.powered_majorant_polydisk(pf.anti, p, r)
+        return holo.value + anti.value, holo.slope + anti.slope
+
     return bisect_unit_crossing(evaluate, tol=tol)

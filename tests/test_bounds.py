@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -14,7 +16,7 @@ from bohrlab.bounds import (
 from bohrlab.errors import NotCertifiedError, ParameterError
 from bohrlab.majorant import DomainSpec
 from bohrlab.multiindex import enumerate_degree, multinomial_weight
-from bohrlab.radius import exact_h2_radius, solve_bohr_radius
+from bohrlab.radius import TOP_RADIUS, exact_h2_radius, solve_bohr_radius
 
 
 def test_closed_form_values():
@@ -29,6 +31,39 @@ def test_closed_form_values():
 def test_numeric_geometric_case():
     got = certified_lower_bound(CertificateInput(1, 1.0, 2.0, 1.0), mode="numeric").value
     assert got == pytest.approx(0.5, abs=1e-10)
+
+
+def decimal_series(n, p, q, c, r):
+    """sum_{k>=1} (c r)^(pk) C(n+k-1,k)^(1-p/q) in 40-digit decimals with
+    exact integer counts, stopped once the total passes 4 or a term falls
+    below 1e-30 of it."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        frac = Decimal(1) if math.isinf(q) else 1 - Decimal(p) / Decimal(q)
+        x = (Decimal(c) * Decimal(r)) ** Decimal(p)
+        total, power, k = Decimal(0), Decimal(1), 0
+        while True:
+            k += 1
+            power *= x
+            term = power * Decimal(math.comb(n + k - 1, k)) ** frac
+            total += term
+            if total > 4 or term < total * Decimal("1e-30"):
+                return total
+
+
+def test_numeric_certificate_keeps_the_series_at_most_one():
+    # the returned radius is certified only where the series is <= 1; the
+    # bracket's midpoint exceeded 1 in about a third of these cases
+    for n in [1, 3, 10, 57, 300, 5000]:
+        for p in [0.5, 0.9, 1.0, 1.3, 1.9]:
+            for q in [2.0, 3.0, math.inf]:
+                for c in [0.3, 1.0, 2.0]:
+                    res = certified_lower_bound(CertificateInput(n, p, q, c), mode="numeric")
+                    if res.method == "saturated_at_one":
+                        assert decimal_series(n, p, q, c, TOP_RADIUS) <= 1
+                        continue
+                    assert res.value == res.bracket[0]
+                    assert decimal_series(n, p, q, c, res.value) <= 1, (n, p, q, c)
 
 
 def test_numeric_dominates_closed_form():

@@ -30,7 +30,11 @@ def test_parse_basic():
     config = parse_config(["exact-h2", "--n", "2", "--p", "1"])
     assert config.command == "exact-h2"
     assert config.params == {"n": 2, "p": 1.0}
-    assert config.seed == 0 and config.output == "json"
+    # the defaults of --seed and --output sit in params where they are taken
+    ball = parse_config(["maximize-ball", "--p", "1", "--t", "2", "--r", "0.5"])
+    assert ball.params["seed"] == 0
+    sweep = parse_config(["sweep", "--generator", "exact-h2", "--p", "1", "--n-list", "10"])
+    assert sweep.params["output"] == "json"
 
 
 def test_parse_errors():
@@ -52,7 +56,7 @@ def test_config_file_flag_precedence(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("command=maximize-ball\np=1\nt=2\nr=0.5\nseed=42\n")
     config = parse_config(["maximize-ball", "--config", str(path), "--seed", "7"])
-    assert config.seed == 7
+    assert config.params["seed"] == 7
     assert config.params["r"] == 0.5
 
 
@@ -242,7 +246,7 @@ NO_TOL = [
 def test_tol_is_taken_only_by_the_radius_solves():
     assert {argv[0] for argv in NO_TOL} == set(COMMANDS) - {"solve", "pluri"}
     for command in ("solve", "pluri"):
-        assert parse_config([command, "--p", "1", "--tol", "1e-8"]).tol == 1e-8
+        assert parse_config([command, "--p", "1", "--tol", "1e-8"]).params["tol"] == 1e-8
 
 
 @pytest.mark.parametrize("argv", NO_TOL, ids=lambda argv: argv[0])
@@ -263,6 +267,17 @@ def test_maximize_ball_command():
     doc = json.loads(out)
     assert doc["result"]["value"] == pytest.approx(0.25)
     assert doc["result"]["exactness"] == "exact"
+
+
+def test_coefficient_power_overflow_exits_4(capsys):
+    stdin_text = (
+        '{"dimension": 2, "entries": [[[1,1], 1e200], [[2,0], 1.0], [[0,1], 0.5]],'
+        ' "truncation_degree": 2}'
+    )
+    argv = ["maximize-ball", "--p", "2", "--t", "2", "--r", "0.5"]
+    assert main(argv, stdin_text=stdin_text) == EXIT_RANGE
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: an entry's 2.0-th power exceeds the float range\n"
 
 
 def test_float_fields_have_17_digit_round_trip():

@@ -70,6 +70,54 @@ def test_ball_degree_one_equal_coordinates():
         assert res.exactness == "exact"
 
 
+TAILED = family.AnalyticTail(0.4)
+NO_TAIL_MASS = family.AnalyticTail(0.0)
+
+
+# (entries, tail, r, label): the closed forms and the empty sum are exact
+# while the tail adds nothing; the optimizer path is exact only at r = 0,
+# where it does not run
+LABEL_CASES = [
+    ({}, None, 0.5, "exact"),
+    ({}, NO_TAIL_MASS, 0.5, "exact"),
+    ({}, TAILED, 0.0, "exact"),
+    ({}, TAILED, 0.5, "optimizer"),
+    ({(1, 1): 0.8}, NO_TAIL_MASS, 0.5, "exact"),
+    ({(1, 1): 0.8}, TAILED, 0.0, "exact"),
+    ({(1, 1): 0.8}, TAILED, 0.5, "optimizer"),
+    ({(1, 0): 0.5, (0, 1): 0.8}, NO_TAIL_MASS, 0.5, "exact"),
+    ({(1, 0): 0.5, (0, 1): 0.8}, TAILED, 0.5, "optimizer"),
+    ({(2, 1): 0.8, (1, 0): 0.3}, None, 0.0, "exact"),
+    ({(2, 1): 0.8, (1, 0): 0.3}, TAILED, 0.0, "exact"),
+    ({(2, 1): 0.8, (1, 0): 0.3}, NO_TAIL_MASS, 0.5, "optimizer"),
+]
+
+
+def test_ball_label_is_exact_iff_closed_or_empty_and_no_tail_mass():
+    for entries, tail, r, label in LABEL_CASES:
+        f = family.explicit(2, entries, tail=tail)
+        res = powered_majorant_ball(f, 1.0, 2.0, r)
+        assert res.exactness == label, (entries, tail, r)
+        # the tail's polydisk bound is added once, on every path
+        tail_only = family.CoefficientFamily(2, {}, f.truncation_degree, tail=tail)
+        tail_bound = powered_majorant_polydisk(tail_only, 1.0, r).value
+        bare = powered_majorant_ball(family.explicit(2, entries), 1.0, 2.0, r)
+        assert res.value == bare.value + tail_bound
+
+
+# a coefficient whose square leaves the float range
+HUGE_SQUARE = {(1, 1): 1e200, (2, 0): 1.0, (0, 1): 0.5}
+
+
+@pytest.mark.parametrize("domain", [DomainSpec.polydisk(), DomainSpec.lt_ball(2.0)], ids=["polydisk", "ball"])
+def test_coefficient_power_overflow_is_a_parameter_error(domain):
+    f = family.explicit(2, HUGE_SQUARE)
+    with pytest.raises(ParameterError, match="2.0-th power exceeds the float range"):
+        majorant.powered_majorant(f, 2.0, domain, 0.5)
+    with pytest.raises(ParameterError, match="2.0-th power exceeds the float range"):
+        solve_bohr_radius(f, 2.0, domain)
+
+
 def test_ball_degree_one_vertex_when_p_at_least_t():
     f = family.explicit(2, {(1, 0): 0.5, (0, 1): 0.8})
     res = powered_majorant_ball(f, 2.0, 2.0, 0.5)

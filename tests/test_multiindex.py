@@ -152,9 +152,12 @@ def test_multinomial_identity_large_degree():
         got = multinomial_identity_residual(x, 200)
         assert got <= 1e-13
         assert abs(got - loop_identity_residual(x, 200)) <= 1e-13
-    # C(1100, 550) exceeds the float range, as the per-row loop found too
-    with pytest.raises(OverflowError):
+    # C(1100, 550) exceeds the float range, as the per-row loop found too,
+    # and so does 3^700 on the right-hand side; both are typed errors
+    with pytest.raises(ParameterError, match="multinomial weight of degree 1100"):
         multinomial_identity_residual((0.5, 0.5), 1100)
+    with pytest.raises(ParameterError, match=r"\(sum x_i\)\^700"):
+        multinomial_identity_residual((1.5, 1.5), 700)
 
 
 @pytest.mark.parametrize("x", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf], [1.0, -0.5]])

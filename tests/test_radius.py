@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bohrlab import family
+from bohrlab.bounds import CertificateInput, certified_lower_bound
 from bohrlab.errors import ParameterError, TailDivergenceError
 from bohrlab.majorant import DomainSpec, powered_majorant_ball, powered_majorant_polydisk
 from bohrlab.radius import (
@@ -23,6 +24,31 @@ POLYDISK = DomainSpec.polydisk()
 def test_solve_saturates_for_z():
     res = solve_bohr_radius(family.explicit(1, {(1,): 1.0}), 1.0, POLYDISK)
     assert res.value == 1.0 and res.method == "saturated_at_one"
+
+
+def test_every_saturated_result_has_the_checked_bracket():
+    # S(TOP_RADIUS) <= 1 is the only point any path checks
+    z_half = family.explicit(1, {(1,): 0.5})
+    pair = PluriharmonicFamily(holo=z_half, anti=family.explicit(1, {(1,): 0.25}))
+    # no degree mass, but an anti part with a (zero) tail keeps the two-part sum
+    massless = PluriharmonicFamily(
+        holo=family.explicit(1, {}), anti=family.explicit(1, {}, tail=family.AnalyticTail(0.0))
+    )
+    results = [
+        solve_bohr_radius(family.explicit(2, {(0, 0): 0.5}), 1.0, POLYDISK),
+        solve_bohr_radius(z_half, 1.0, POLYDISK),
+        solve_bohr_radius(z_half, 1.0, DomainSpec.lt_ball(2.0)),
+        pluriharmonic_radius(pair, 1.0, math.inf),
+        pluriharmonic_radius(pair, 1.0, 2.0),
+        pluriharmonic_radius(massless, 1.0, math.inf),
+        bisect_unit_crossing(lambda r: (0.5 * r, 0.5 * r)),
+        certified_lower_bound(CertificateInput(3, 1.0, 2.0, 0.0)),
+        certified_lower_bound(CertificateInput(3, 1.0, 2.0, 0.0), mode="numeric"),
+        certified_lower_bound(CertificateInput(1, 1.0, 2.0, 0.3), mode="numeric"),
+    ]
+    for res in results:
+        assert res.method == "saturated_at_one" and res.value == 1.0, res
+        assert res.bracket == (TOP_RADIUS, 1.0), res
 
 
 def test_solve_extremal_g_matches_closed_form():
@@ -271,3 +297,22 @@ def test_pluriharmonic_validation():
         PluriharmonicFamily(holo=holo, anti=family.explicit(2, {}))
     with pytest.raises(ParameterError):
         PluriharmonicFamily(holo=holo, anti=family.explicit(1, {(0,): 0.2}))
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0])
+def test_pluriharmonic_ball_refuses_nonpositive_p(p):
+    # the merged weight (|a|^p + |b|^p)^(1/p) has no value here: 1/p, or
+    # 0^p for the index the anti part lacks
+    holo = family.explicit(2, {(1, 0): 0.5, (0, 1): 0.3})
+    pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 0): 0.25}))
+    with pytest.raises(ParameterError, match="need p > 0"):
+        pluriharmonic_radius(pf, p, 2.0)
+
+
+def test_pluriharmonic_merge_overflow_is_a_parameter_error():
+    pf = PluriharmonicFamily(
+        holo=family.explicit(2, {(1, 1): 1e200, (2, 0): 1.0, (0, 1): 0.5}),
+        anti=family.explicit(2, {(1, 1): 0.5}),
+    )
+    with pytest.raises(ParameterError, match="exceeds the float range"):
+        pluriharmonic_radius(pf, 2.0, 2.0)
