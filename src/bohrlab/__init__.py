@@ -29,11 +29,9 @@ from .family import (
 from .majorant import (
     DomainSpec,
     MajorantValue,
-    per_degree_l2,
     powered_majorant,
     powered_majorant_ball,
     powered_majorant_polydisk,
-    torus_sup_lower_bound,
 )
 from .multiindex import (
     count_and_bound,
@@ -78,7 +76,6 @@ __all__ = [
     "multinomial_identity_residual",
     "multinomial_weight",
     "normalized_monomial",
-    "per_degree_l2",
     "pluriharmonic_radius",
     "powered_majorant",
     "powered_majorant_ball",
@@ -87,6 +84,5 @@ __all__ = [
     "sandwich_check",
     "solve_bohr_radius",
     "sweep",
-    "torus_sup_lower_bound",
     "witness_upper_linear_form",
 ]

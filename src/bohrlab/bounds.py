@@ -66,6 +66,8 @@ def certified_lower_bound(cert, mode="closed_form"):
     CERTIFICATE_TOL.
     """
     n, p, q, c = cert.n, cert.p, cert.q, cert.C
+    if mode not in ("closed_form", "numeric"):
+        raise ParameterError(f"unknown mode: {mode}")
     if c == 0.0:
         return saturated_at_one()
     gap = 1.0 / p - (0.0 if math.isinf(q) else 1.0 / q)
@@ -75,8 +77,6 @@ def certified_lower_bound(cert, mode="closed_form"):
         return RadiusResult(
             value=value, method="certified_lower", residual=0.0, bracket=(value, value)
         )
-    if mode != "numeric":
-        raise ParameterError(f"unknown mode: {mode}")
 
     frac = 1.0 - (0.0 if math.isinf(q) else p / q)  # exponent on the count
 

@@ -13,13 +13,19 @@ The optimizer's plain update is the fixed-point map u <- T(u) = b w / sum(w)
 with w_i = u_i dF/du_i and b = r^t.  Where the terms use at most
 `NEWTON_MAX_DIM` coordinates, each update also solves (I - DT) d = T(u) - u
 on those coordinates for the Newton point u + d of u = T(u), and takes
-it, renormalized to the simplex, when it is strictly positive there and
-its value is at least that of T(u); unused coordinates stay at 0.  The
+it, renormalized to the simplex, when it is strictly positive where u is
+and its value is at least that of T(u); unused coordinates, and those
+at 0, stay at 0.  Near an optimum on a face of the simplex the Newton
+point leaves the simplex.  There the step is retaken on the face (an
+active-set step): each coordinate that the point drives to <= 0 and
+whose gradient is below the multiplier sum(w) / b is held at 0, and the
+face point is taken under the same test when the optimality condition
+dF/du_i <= sum(w) / b holds for the held coordinates at that point.  The
 starts advance together as the rows of one array.  A row stops after
 `PATIENCE` updates in a row within `REL_TOL`, and, where Newton points
 are tried, also after `STILL` updates in a row that each move its value
-by at most `STILL_ULPS` ulps; rows whose Newton points are refused (as
-at an optimum on a face) mostly stop by the first rule.
+by at most `STILL_ULPS` ulps; rows at face optima stop by this rule as
+well.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
@@ -32,7 +38,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import multiindex
 from .errors import ConvergenceError, ParameterError, TailDivergenceError
 
 # The multistart ball optimizer: number of starts, update cap, and the
@@ -262,20 +267,23 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
     the per-term values are None when no start converged.
 
     Every start takes updates u <- T(u) = budget w / sum(w), where
-    w_i = u_i dF/du_i, or the safeguarded Newton point of u = T(u) when it
+    w_i = u_i dF/du_i, or a safeguarded Newton point of u = T(u) when it
     is better.  A coordinate that no term uses has w_i = 0, so both put 0
     there, and the Newton system is solved on the used coordinates alone.
-    Where more than `NEWTON_MAX_DIM` are used, every update is plain and
-    only the `PATIENCE` rule stops a row, as before Newton steps were
-    added.  The starts advance together as the rows of one array; a row
-    leaves at the update where its own run would stop, and its last
-    iterate and value are kept.
+    Where the Newton point leaves the simplex, as it does near an optimum
+    on a face, the step is retaken on that face (see `newton_points`).
+    Where more than `NEWTON_MAX_DIM` coordinates are used, every update is
+    plain and only the `PATIENCE` rule stops a row.  The starts advance
+    together as the rows of one array; a row leaves at the update where
+    its own run would stop, and its last iterate and value are kept.
     """
     n = alphas.shape[1]
     exponents = alphas * s  # E, shape (terms, n)
     exponents_t = exponents.T
     used = np.flatnonzero(alphas.any(axis=0))
     m = len(used)
+    if m == n:
+        used = slice(None)  # u[:, used] is then a view, not a copy
     newton = m <= NEWTON_MAX_DIM
     if newton:
         # E_k E_k^T of each term on the used coordinates, flattened, so
@@ -283,6 +291,14 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         e_used = exponents[:, used]
         outer = (e_used[:, :, None] * e_used[:, None, :]).reshape(len(coeffs), m * m)
         identity = np.eye(m)
+        # for the face step: which terms hold each coordinate, which hold it
+        # to the power 1 (so dF/du_i keeps them at u_i = 0), and which
+        # coordinates may be dropped: a power in (0, 1) makes dF/du_i
+        # infinite at u_i = 0, so the optimum never has u_i = 0
+        holds = (e_used > 0.0).astype(float)
+        linear = (e_used == 1.0).astype(float)
+        droppable = ~((e_used > 0.0) & (e_used < 1.0)).any(axis=0)
+        term_weights = e_used.sum(axis=1)  # sum(w) = mono @ term_weights
     directions = _start_directions(n, alphas, coeffs, seed, N_STARTS)
 
     def objective(u):
@@ -290,27 +306,83 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         powers = np.exp(np.log(np.maximum(u, 1e-300)) @ exponents_t)
         return powers @ coeffs, coeffs * powers
 
-    def newton_points(u, mono, total_w, plain, budget):
+    def face_points(x, system, rhs, dropped, budget):
+        """(ok, points): the Newton step retaken with u_i held at 0 where
+        `dropped`, by unit rows of `system` and right-hand side -u_i there,
+        and whether each point is positive on the other used coordinates
+        and satisfies dF/du_i <= lambda = sum(w) / budget at every dropped
+        i; all False when the linear solve fails.
+
+        At u_i = 0 only the terms that hold u_i to the power 1 and no other
+        dropped coordinate add to dF/du_i, each by c_k times its product
+        over the kept coordinates; sum(w) takes the terms that hold no
+        dropped coordinate.  So the test is one exp/log pass.
+        """
+        try:
+            face = x + np.linalg.solve(
+                np.where(dropped[:, :, None], identity, system),
+                np.where(dropped, -x, rhs)[:, :, None],
+            )[:, :, 0]
+        except np.linalg.LinAlgError:
+            return np.zeros(len(x), dtype=bool), x
+        face[dropped] = 0.0
+        points = face * (budget / face.sum(axis=1))[:, None]
+        kept = coeffs * np.exp(np.log(np.where(dropped, 1.0, points)) @ e_used.T)
+        hits = dropped @ holds.T  # dropped coordinates in each term
+        lam = (kept * (hits == 0.0)) @ term_weights / budget
+        grad = (kept * (hits == 1.0)) @ linear
+        ok = ((face > 0.0) | dropped).all(axis=1)
+        return ok & ((grad <= lam[:, None]) | ~dropped).all(axis=1), face
+
+    def newton_points(u, mono, w, total_w, plain, budget):
         """(usable, points): u + d renormalised to the simplex, where
-        (I - DT) d = T(u) - u, and whether u + d is strictly positive on the
-        used coordinates; None when the linear solve fails.
+        (I - DT) d = T(u) - u, with 0 where u is 0 as T keeps it there, and
+        whether it is strictly positive on the other used coordinates; None
+        when the linear solve fails.
 
         With H_ij = dw_i/du_j = (E^T diag(mono) E)_ij / u_j, the Jacobian of
         T is DT = budget (H / S - w colsum(H)^T / S^2) = (budget H - T(u)
         colsum(H)^T) / S, where S = sum(w).  Its rows and columns at unused
-        coordinates are 0, so there d = T(u) - u = -u and u + d = 0.
+        coordinates are 0, so there d = T(u) - u = -u and u + d = 0.  u_j
+        is floored as in `objective`, so that a column at u_j = 0 is finite.
+
+        A row whose point is not positive retakes the step on a face: it
+        drops each droppable coordinate where u + d <= 0 and the gradient
+        w_i / u_i is below the multiplier lambda = sum(w) / budget, and
+        those where u is 0, solves the system again with unit rows and
+        right-hand side -u_i there (`face_points`), and takes the point, 0
+        at the dropped coordinates, when it is positive on the others and
+        satisfies the optimality condition there.
         """
-        h = (mono @ outer).reshape(-1, m, m) / u[:, None, used]
+        x = u[:, used]
+        h = (mono @ outer).reshape(-1, m, m) / np.maximum(x, 1e-300)[:, None, :]
         total = total_w[:, None, None]
-        jac = (budget * h - plain[:, used, None] * h.sum(axis=1)[:, None, :]) / total
+        system = identity - (budget * h - plain[:, used, None] * h.sum(axis=1)[:, None, :]) / total
+        rhs = plain[:, used] - x
         try:
-            d = np.linalg.solve(identity - jac, (plain - u)[:, used, None])[:, :, 0]
+            v = x + np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             return None
-        v = np.zeros_like(u)
-        v[:, used] = u[:, used] + d
+        # T keeps u_i = 0, so the point does too
+        positive = x > 0.0
+        v *= positive
+        usable = ((v > 0.0) == positive).all(axis=1)
+        if not usable.all():
+            lam = total_w / budget
+            drop = (v <= 0.0) & (w[:, used] < lam[:, None] * x) & droppable
+            rows = np.flatnonzero(drop.any(axis=1))
+            if rows.size:
+                dropped = drop[rows] | ~positive[rows]
+                ok, face = face_points(x[rows], system[rows], rhs[rows], dropped, budget)
+                v[rows[ok]] = face[ok]
+                usable[rows[ok]] = True
         # a non-finite v makes its point nan, whose value loses to any other
-        return (v[:, used] > 0.0).all(axis=1), v * (budget / v.sum(axis=1))[:, None]
+        v *= (budget / v.sum(axis=1))[:, None]
+        if m == n:
+            return usable, v
+        points = np.zeros_like(u)
+        points[:, used] = v
+        return usable, points
 
     def maximize(budget):
         u = budget * directions
@@ -321,8 +393,8 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         calm = np.zeros(len(u), dtype=int)
         still = np.zeros(len(u), dtype=int)
         done = np.zeros(len(u), dtype=bool)
-        # a row near a face can divide by an underflowed u_j; its Newton
-        # point is then refused, and a row whose values overflow stops
+        # a Newton or face point that leaves the simplex has nan logs and
+        # values, and is refused; a row whose values overflow stops
         # unconverged, so the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cur, mono = objective(u)
@@ -352,7 +424,7 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                     w, total_w = w[weighted], total_w[weighted]
                 plain = budget * w / total_w[:, None]
                 prev = cur
-                step = newton_points(u, mono, total_w, plain, budget) if newton else None
+                step = newton_points(u, mono, w, total_w, plain, budget) if newton else None
                 if step is None:
                     u = plain
                     cur, mono = objective(u)
@@ -417,56 +489,3 @@ def evaluator(f, p, domain, seed=0):
 def powered_majorant(f, p, domain, r, seed=0):
     return evaluator(f, p, domain, seed)(r)
 
-
-def torus_sup_lower_bound(coefficients, dimension, samples, seed=0, domain=None):
-    """Certified lower bound on sup |sum c_alpha z^alpha| by boundary sampling.
-
-    `coefficients` maps multi-index tuples to complex coefficients.  Samples
-    are drawn on the unit polytorus (polydisk) or on the l_t sphere with
-    random phases (ball); deterministic in the seed.
-    """
-    if samples < 1:
-        raise ParameterError(f"need samples >= 1, got {samples}")
-    if domain is None:
-        domain = DomainSpec.polydisk()
-    items = sorted(coefficients.items())
-    if not items:
-        return 0.0
-    alphas = np.array([a for a, _ in items], dtype=float)
-    coeffs = np.array([c for _, c in items], dtype=complex)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    batch = 4096
-    done = 0
-    while done < samples:
-        m = min(batch, samples - done)
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(m, dimension))
-        if domain.kind == "polydisk":
-            log_mod = np.zeros((m, dimension))
-        else:
-            # normalized generalized-Gaussian draws land on the l_t sphere
-            g = rng.gamma(1.0 / domain.t, 1.0, size=(m, dimension)) ** (1.0 / domain.t)
-            g = np.maximum(g, 1e-300)
-            scale = (np.sum(g**domain.t, axis=1, keepdims=True)) ** (1.0 / domain.t)
-            log_mod = np.log(g / scale)
-        phase = theta @ alphas.T
-        radial = log_mod @ alphas.T
-        values = np.abs(np.exp(radial + 1j * phase) @ coeffs)
-        best = max(best, float(values.max()))
-        done += m
-    return best
-
-
-def per_degree_l2(f, k):
-    """(sum_{|alpha|=k} ||x_alpha||^2)^(1/2), from entries or the tail model."""
-    if k < 0:
-        raise ParameterError(f"need k >= 0, got {k}")
-    if k == 0:
-        zero = (0,) * f.dimension
-        return abs(f.entries.get(zero, 0.0))
-    if k <= f.truncation_degree:
-        total = sum(v * v for a, v in f.entries.items() if sum(a) == k)
-        return math.sqrt(total)
-    if f.tail is None:
-        return 0.0
-    return math.sqrt(multiindex.count(f.dimension, k)) * f.tail.parameter**k

@@ -7,8 +7,7 @@ with the Newton step, as a reference for the batched loop in
 `powered_majorant_ball`.
 The recursive enumeration and the per-row identity residual are the loop
 versions of the block-wise `enumerate_degree` and
-`multinomial_identity_residual`.  The signed Moebius coefficients feed the
-torus sampling checks.
+`multinomial_identity_residual`.
 """
 
 import numpy as np
@@ -18,14 +17,6 @@ from bohrlab import explicit, majorant
 from bohrlab.errors import ConvergenceError
 from bohrlab.majorant import _start_directions, _terms
 from bohrlab.multiindex import enumerate_degree, multinomial_weight
-
-
-def moebius_signed_coefficients(a, truncation=64):
-    """Signed Taylor coefficients of (a - z)/(1 - a z) up to degree `truncation`."""
-    coeffs = {(0,): complex(a)}
-    for k in range(1, truncation + 1):
-        coeffs[(k,)] = complex(-(1.0 - a * a) * a ** (k - 1))
-    return coeffs
 
 
 def recursive_enumeration(n, k):
@@ -128,9 +119,13 @@ def serial_ball_optimizer(
     relative.  With `accelerated`, and as long as the terms use at most
     `majorant.NEWTON_MAX_DIM` coordinates, an update takes the Newton point
     of u = T(u) instead when it is finite, strictly positive on those
-    coordinates and no worse than T(u), and a start also stops after 3
-    updates in a row that each move its value by at most 4 units in the
-    last place.
+    coordinates where u is (0 where u is 0) and no worse than T(u), and a
+    start also stops after 3 updates in a row that each move its value by
+    at most 4 units in the last place.  Where the Newton point is not
+    positive, the step is retaken on the face that drops each coordinate
+    it drives to <= 0 whose gradient is below the multiplier, and that face
+    point is taken under the same test when the optimality condition for
+    the dropped coordinates holds there.
 
     Covers families without a tail that reach the optimizer path of
     `powered_majorant_ball`; raises `ConvergenceError` as it does.
@@ -141,33 +136,82 @@ def serial_ball_optimizer(
     budget = r**t
     used = [i for i in range(n) if alphas[:, i].any()]
     accelerated = accelerated and len(used) <= majorant.NEWTON_MAX_DIM
+    # a power in (0, 1) makes dF/du_i infinite at u_i = 0
+    droppable = [not ((exponents[:, i] > 0.0) & (exponents[:, i] < 1.0)).any() for i in range(n)]
 
     def evaluate(u):
         powers = np.exp(exponents @ np.log(np.maximum(u, 1e-300)))
         return float(coeffs @ powers), coeffs * powers
 
     def newton_point(u, mono, w, total_w, plain):
-        """Renormalised u + d with (I - DT) d = T(u) - u, or None.
+        """Renormalised u + d with (I - DT) d = T(u) - u, its face point
+        where u + d is not positive, or None.
 
         DT vanishes in the rows and columns of unused coordinates, where
-        u + d is therefore 0; the system is solved on the used ones.
+        u + d is therefore 0; the system is solved on the used ones, with
+        u_j floored at 1e-300 as in `evaluate`.
         """
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # H_ij = dw_i/du_j
             h = np.array(
-                [[sum(m * e[i] * e[j] for m, e in zip(mono, exponents)) / u[j]
+                [[sum(m * e[i] * e[j] for m, e in zip(mono, exponents)) / max(u[j], 1e-300)
                   for j in used] for i in used]
             )
-            jac = budget * (h / total_w - np.outer(w[used], h.sum(axis=0)) / total_w**2)
+            system = np.eye(len(used)) - budget * (
+                h / total_w - np.outer(w[used], h.sum(axis=0)) / total_w**2
+            )
+            rhs = (plain - u)[used]
             try:
-                d = np.linalg.solve(np.eye(len(used)) - jac, (plain - u)[used])
+                d = np.linalg.solve(system, rhs)
             except np.linalg.LinAlgError:
                 return None
             v = np.zeros(n)
             v[used] = u[used] + d
-        if not (np.all(np.isfinite(v)) and np.all(v[used] > 0.0)):
+            v[u == 0.0] = 0.0  # T keeps u_i = 0
+            if np.all(np.isfinite(v)) and all(v[i] > 0.0 for i in used if u[i] > 0.0):
+                return budget * v / v.sum()
+            return face_point(u, w, total_w, v, system, rhs)
+
+    def face_point(u, w, total_w, v, system, rhs):
+        """The Newton step retaken with u_i fixed at 0 for every droppable i
+        where u + d <= 0 and dF/du_i = w_i / u_i is below lambda = sum(w) /
+        budget, and where u_i = 0; None unless it is positive elsewhere and
+        dF/du_i <= lambda holds at every dropped i at the face point itself."""
+        lam = total_w / budget
+        dropped = [
+            k for k, i in enumerate(used)
+            if droppable[i] and v[i] <= 0.0 and w[i] / u[i] < lam
+        ]
+        if not dropped:
             return None
-        return budget * v / v.sum()
+        # coordinates already at 0 stay there
+        dropped += [k for k, i in enumerate(used) if u[i] == 0.0 and k not in dropped]
+        for k in dropped:
+            system[k] = np.eye(len(used))[k]
+            rhs[k] = -u[used[k]]
+        try:
+            d = np.linalg.solve(system, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        v = np.zeros(n)
+        v[used] = u[used] + d
+        v[[used[k] for k in dropped]] = 0.0
+        kept = [i for k, i in enumerate(used) if k not in dropped]
+        if not (np.all(np.isfinite(v)) and np.all(v[kept] > 0.0)):
+            return None
+        point = budget * v / v.sum()
+        # at the face point, with 0 ** 0 = 1
+        lam = sum(c * e.sum() * np.prod(point**e) for c, e in zip(coeffs, exponents)) / budget
+        for i in (used[k] for k in dropped):
+            grad = sum(
+                c * e[i] * point[i] ** (e[i] - 1.0)
+                * np.prod([point[j] ** e[j] for j in range(n) if j != i])
+                for c, e in zip(coeffs, exponents)
+                if e[i] > 0.0
+            )
+            if not grad <= lam:
+                return None
+        return point
 
     best_value = -1.0
     best_u = None

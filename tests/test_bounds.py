@@ -99,8 +99,10 @@ def test_certificate_below_exact_class_radius():
 def test_certificate_validation():
     with pytest.raises(ParameterError):
         CertificateInput(1, 2.0, 1.0, 1.0)  # p > q
-    with pytest.raises(ParameterError):
-        certified_lower_bound(CertificateInput(1, 1.0, 2.0, 1.0), mode="weird")
+    # C = 0 saturates in either mode, but an unknown mode is refused first
+    for cert in [CertificateInput(1, 1.0, 2.0, 1.0), CertificateInput(3, 1.0, 2.0, 0.0)]:
+        with pytest.raises(ParameterError):
+            certified_lower_bound(cert, mode="weird")
 
 
 def test_ball_certificate_preset():
