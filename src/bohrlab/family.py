@@ -93,10 +93,13 @@ class CoefficientFamily:
         The weighted full sum n s (1-s)^(-n-1) is formed as n s/(1-s) times
         (1-s)^(-n), by multiplication, so that it overflows to inf, not raises.
         """
-        total = geometric_block_total(self.dimension, s)
-        slope = s * self.dimension / (1.0 - s) * (total + 1.0)
+        n = self.dimension
+        total = geometric_block_total(n, s)
+        slope = s * n / (1.0 - s) * (total + 1.0)
+        count = 1  # C(n+k-1, k), exact, by C(n+k-1, k) = C(n+k-2, k-1) (n+k-1)/k
         for k in range(1, self.truncation_degree + 1):
-            term = multiindex.count(self.dimension, k) * s**k
+            count = count * (n + k - 1) // k
+            term = count * s**k
             total -= term
             slope -= k * term
         return max(total, 0.0), max(slope, 0.0)

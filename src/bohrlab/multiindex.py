@@ -5,23 +5,37 @@ A multi-index is a tuple of nonnegative integers alpha with total degree
 arithmetic (Python ints promote automatically), so there is no overflow
 mode to configure.
 
-The multi-indices of degree k in n variables are listed by stars and bars:
-the cut points 0 <= c_1 <= ... <= c_{n-1} <= k give the parts
-alpha = (c_1, c_2 - c_1, ..., k - c_{n-1}), and cut points in ascending
-lexicographic order give parts in ascending lexicographic order.  They are
-turned into parts in numpy blocks of at most BLOCK_ENTRIES cut points each.
+The multi-indices of degree k in n variables are listed as numpy arrays
+that hold part i of each multi-index in row i, lexicographically
+descending.  They come from one table: the multi-indices of degree <= k in
+m parts, by degree and lexicographically descending within each degree,
+ends[j] of them of degree <= j.  Splitting the last part d of a
+multi-index h over one more part and the m parts of the table gives
+[h[:-1], d - |t|, t] for t among the first ends[d] entries of the table,
+lexicographically descending.  So the table in m + 1 parts is split from
+the degrees 0..k, and the listing in n parts from the listing in n - m
+parts, which for n - m <= m is the end of the table itself.  A split is a
+fixed handful of numpy calls at any k: a running sum, an arange-minus-
+repeat gather index and one gather.  m is at most n/2, past which a larger
+table only costs more to build, and the table has no more entries than a
+listing chunk of CHUNK_BYTES.  Parts are int8 for k < 2**7, int16 for
+k < 2**15 and wider above; enumerate_degree turns the multi-indices into
+tuples of Python ints through struct.
 """
 
 import math
-from itertools import chain, combinations_with_replacement, islice
+import operator
+import struct
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
 
 ENUMERATION_CAP = 10**8
-# Cut points per block; bounds the arrays held besides the listing itself.
-BLOCK_ENTRIES = 1 << 12
+# Bytes of one listing chunk, side arrays included.  The table is smaller
+# than a chunk of as many entries, so this bounds the arrays held besides
+# the listing itself.
+CHUNK_BYTES = 1 << 20
 
 
 def validate(alpha):
@@ -31,33 +45,95 @@ def validate(alpha):
         raise ParameterError(f"multi-index parts must be nonnegative integers: {alpha}")
 
 
-def count(n, k):
-    """Number of multi-indices of degree k in n variables, C(n+k-1, k)."""
+def _checked(n, k):
+    """(n, k) as ints; ParameterError unless both are integers, not bools,
+    with n >= 1 and k >= 0."""
+    if type(n) is not int or type(k) is not int:  # bools included
+        try:
+            if isinstance(n, bool) or isinstance(k, bool):
+                raise TypeError  # operator.index takes bools as ints
+            n, k = operator.index(n), operator.index(k)
+        except TypeError:
+            raise ParameterError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
     if n < 1 or k < 0:
         raise ParameterError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
+    return n, k
+
+
+def count(n, k):
+    """Number of multi-indices of degree k in n variables, C(n+k-1, k)."""
+    n, k = _checked(n, k)
     return math.comb(n + k - 1, k)
 
 
-def _blocks(n, k):
-    """The multi-indices of degree k in n variables as int64 arrays of
-    shape (rows, n), lexicographically ascending within and across blocks.
-
-    Raises CapacityError, before any block is built, when the count
-    exceeds ENUMERATION_CAP.
+def _split(heads, sizes, table, deg):
+    """Split the last part d of each column h of heads over one more part
+    and the parts of table: the columns [h[:-1], d - |t|, t] for t in the
+    first sizes[i] columns of table, h in order, then t in table order.
+    deg holds |t|.  Returns the columns, the degree d of each, and the count
+    of columns up to and including each head's.
     """
-    total = count(n, k)
+    ends = np.add.accumulate(sizes)
+    col = np.arange(ends[-1], dtype=np.int32)
+    col -= (ends - sizes).repeat(sizes)
+    degree = heads[-1].repeat(sizes)
+    h = len(heads)
+    out = np.empty((h + len(table), len(col)), table.dtype)
+    if h > 1:
+        out[: h - 1] = heads[:-1].repeat(sizes, axis=1)
+    np.subtract(degree, deg.take(col), out=out[h - 1])
+    table.take(col, axis=1, out=out[h:], mode="clip")
+    return out, degree, ends
+
+
+def _listing(n, k):
+    """The multi-indices of degree k in n variables as arrays of shape
+    (n, count), part i of each in row i, lexicographically descending
+    within and across chunks.
+
+    Raises CapacityError, before anything is built, when the count exceeds
+    ENUMERATION_CAP.
+    """
+    n, k = _checked(n, k)
+    total = math.comb(n + k - 1, k)
     if total > ENUMERATION_CAP:
         raise CapacityError(f"enumerate({n}, {k}) has {total} indices, cap is {ENUMERATION_CAP}")
-    cuts = chain.from_iterable(combinations_with_replacement(range(k + 1), n - 1))
-    step = max(1, BLOCK_ENTRIES // max(1, n - 1))
-    for start in range(0, total, step):
-        rows = min(step, total - start)
-        # each row 0, c_1, ..., c_{n-1}, k; the parts are its differences
-        block = np.empty((rows, n + 1), np.int64)
-        block[:, 0], block[:, n] = 0, k
-        flat = np.fromiter(islice(cuts, rows * (n - 1)), np.int64, rows * (n - 1))
-        block[:, 1:n] = flat.reshape(rows, n - 1)
-        yield block[:, 1:] - block[:, :-1]
+    dtype = np.min_scalar_type(-k - 1)  # the narrowest signed type for 0..k
+    if n == 1:
+        return iter([np.full((1, 1), k, dtype)])
+    # bytes per chunk column: the column and its row-major copy, the
+    # repeated heads, two degree temporaries and two int32 gather indices
+    limit = CHUNK_BYTES // ((3 * n + 1) * dtype.itemsize + 8)
+    # from m >= n/2 parts on, the listing is one split of the table's own
+    # columns; a larger table would only cost more to build
+    m = 1
+    while 2 * m < n and math.comb(m + 1 + k, k) <= limit:
+        m += 1
+    degrees = table = np.arange(k + 1, dtype=dtype)[None, :]  # in one part
+    deg, ends = table[0], np.arange(1, k + 2, dtype=np.int32)
+    for _ in range(m - 1):
+        table, deg, ends = _split(degrees, ends, table, deg)
+    limit = max(limit, len(deg))
+    # the listing in p <= m parts: the multi-indices of degree k with m - p
+    # leading zeros end the table
+    p = (n - 1) % m + 1
+    chunks = iter([table[m - p :, len(deg) - math.comb(p + k - 1, k) :]])
+    for _ in range((n - p) // m):
+        chunks = _split_chunks(chunks, table, deg, ends, limit)
+    return chunks
+
+
+def _split_chunks(chunks, table, deg, ends, limit):
+    """Split each chunk of heads over the table (see _split), in chunks of
+    at most limit columns, or one head's if that is more."""
+    for heads in chunks:
+        sizes = ends[heads[-1]]
+        cum = sizes.cumsum()
+        start = 0
+        while start < len(sizes):
+            stop = cum.searchsorted(cum[start] - sizes[start] + limit, "right")
+            yield _split(heads[:, start:stop], sizes[start:stop], table, deg)[0]
+            start = stop
 
 
 def enumerate_degree(n, k):
@@ -65,15 +141,15 @@ def enumerate_degree(n, k):
     tuples of Python ints.
 
     Order is lexicographically descending on the parts, e.g.
-    (2,0), (1,1), (0,2) for n = k = 2.  Listed by stars and bars in
-    blocks (see the module docstring), then reversed once.  Raises
-    CapacityError, before listing anything, when the count exceeds
-    ENUMERATION_CAP.
+    (2,0), (1,1), (0,2) for n = k = 2.  Listed as arrays (see the module
+    docstring) and unpacked row by row.  Raises ParameterError for a bool
+    or non-integer n or k, and CapacityError, before listing anything, when
+    the count exceeds ENUMERATION_CAP.
     """
     rows = []
-    for parts in _blocks(n, k):
-        rows.extend(zip(*parts.T.tolist()))
-    rows.reverse()
+    for chunk in _listing(n, k):
+        unpack = struct.Struct(f"{len(chunk)}{chunk.dtype.char}").iter_unpack
+        rows.extend(unpack(np.ascontiguousarray(chunk.T)))
     return rows
 
 
@@ -99,6 +175,7 @@ def count_and_bound(n, k):
     C(n+k-1,k) <= e^k (1+n/k)^k <= (2e)^k max{1, (n/k)^k}
     holds in floating point with upward-rounded right-hand sides.
     """
+    n, k = _checked(n, k)
     if k < 1:
         raise ParameterError(f"count_and_bound needs k >= 1, got k={k}")
     c = count(n, k)
@@ -119,23 +196,24 @@ def _factorials(k):
     from a running product, so they are exact while a! has at most 53
     significant bits (a <= 22) and within a * 2**-53 relative beyond.
     """
-    mant = np.ones(k + 1)
-    expo = np.zeros(k + 1, dtype=np.int64)
-    for a in range(2, k + 1):
-        m, e = math.frexp(mant[a - 1] * a)
-        mant[a], expo[a] = 2.0 * m, expo[a - 1] + e - 1
-    return mant, expo
+    mant, expo = [1.0], [0]
+    for a in range(1, k + 1):
+        m, e = math.frexp(mant[-1] * a)
+        mant.append(2.0 * m)
+        expo.append(expo[-1] + e - 1)
+    return np.array(mant), np.array(expo)
 
 
 def multinomial_identity_residual(x, k):
     """Relative residual of sum_{|alpha|=k} (k!/alpha!) x^alpha = (sum x_i)^k.
 
-    The left side is summed over the enumeration blocks as arrays, with
+    The left side is summed over the listing's chunks as arrays, with
     each weight k!/alpha! from a factorial table and each term formed in
     the order float(weight) * x_1^alpha_1 * ... * x_n^alpha_n.  Raises
     ParameterError for an entry of x that is negative or not finite, or
     when a weight or (sum x_i)^k exceeds the float range.
     """
+    n, k = _checked(len(x), k)
     if k < 1:
         raise ParameterError(f"need k >= 1, got k={k}")
     x = [float(xi) for xi in x]
@@ -147,14 +225,17 @@ def multinomial_identity_residual(x, k):
         raise ParameterError(f"(sum x_i)^{k} exceeds the float range") from None
     mant, expo = _factorials(k)
     powers = np.power.outer(x, np.arange(k + 1))  # powers[i, a] = x_i ** a
+    offsets = np.arange(0, powers.size, k + 1)[:, None]  # flat index of powers[i, 0]
     lhs = 0.0
-    for parts in _blocks(len(x), k):
-        m, e = np.frexp(mant[k] / mant[parts].prod(axis=1))
-        e += expo[k] - expo[parts].sum(axis=1)
+    for parts in _listing(n, k):
+        m, e = np.frexp(mant[k] / mant.take(parts).prod(axis=0))
+        e += expo[k] - expo.take(parts).sum(axis=0)
         if e.max() > 1024:
             raise ParameterError(f"a multinomial weight of degree {k} exceeds the float range")
-        terms = np.ldexp(m, e)
-        for i, column in enumerate(parts.T):
-            terms *= powers[i, column]
-        lhs += float(terms.sum())
+        # row 0 the weights, row 1 + i the powers x_i^alpha_i; the product
+        # over axis 0 multiplies them in that order
+        factors = np.empty((n + 1, parts.shape[1]))
+        np.ldexp(m, e, out=factors[0])
+        powers.take(parts + offsets, out=factors[1:], mode="clip")
+        lhs += float(factors.prod(axis=0).sum())
     return abs(lhs - rhs) / max(1.0, rhs)

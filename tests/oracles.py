@@ -6,7 +6,7 @@ serial ball optimizer runs the same updates one start at a time, plain or
 with the Newton step, as a reference for the batched loop in
 `powered_majorant_ball`.
 The recursive enumeration and the per-row identity residual are the loop
-versions of the block-wise `enumerate_degree` and
+versions of the array listing behind `enumerate_degree` and
 `multinomial_identity_residual`.
 """
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -56,6 +57,35 @@ def test_enumerate_matches_recursive_reference():
         assert all(type(a) is int for row in rows for a in row), (n, k)
 
 
+@pytest.mark.parametrize("n, k", [(2, 127), (2, 128), (2, 32767), (2, 32768), (3, 127), (3, 128)])
+def test_enumerate_at_part_dtype_boundaries(n, k):
+    # parts are listed as int8 up to k = 127 and int16 up to k = 32767
+    rows = enumerate_degree(n, k)
+    assert rows == recursive_enumeration(n, k)
+    assert all(type(a) is int for row in rows for a in row)
+
+
+def test_enumerate_accepts_numpy_integers():
+    rows = enumerate_degree(np.int64(3), np.int64(2))
+    assert rows == enumerate_degree(3, 2)
+    assert all(type(a) is int for row in rows for a in row)
+    assert count(np.int64(3), np.int64(2)) == 6
+
+
+@pytest.mark.parametrize("call", [count, enumerate_degree, count_and_bound])
+@pytest.mark.parametrize("n, k", [(True, 3), (2, True), (2.0, 3), (2, 3.0), (np.True_, 3), ("2", 3)])
+def test_degree_functions_refuse_non_integer_arguments(call, n, k):
+    # a bool n once became a numpy boolean mask and listed [(0,)]
+    with pytest.raises(ParameterError):
+        call(n, k)
+
+
+@pytest.mark.parametrize("k", [True, 2.0, np.float64(2.0)])
+def test_multinomial_identity_refuses_non_integer_degree(k):
+    with pytest.raises(ParameterError):
+        multinomial_identity_residual((1.0, 2.0), k)
+
+
 def test_enumerate_largest_acceptance_listing():
     rows = enumerate_degree(14, 9)
     assert len(rows) == count(14, 9) == 497_420
@@ -78,15 +108,35 @@ def test_rows_feed_validate_monomials_and_the_seeded_pool():
 
 
 def test_enumerate_peak_memory_stays_near_its_result():
+    # (14, 9) is the largest listing acceptance criterion 9 and the
+    # benchmark make
+    for n, k in [(12, 8), (14, 9)]:
+        tracemalloc.start()
+        try:
+            rows = enumerate_degree(n, k)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == count(n, k)
+        # current is (nearly all) the listing itself; chunks are bounded
+        assert peak - current < 2 * 2**20, (n, k)
+        del rows
+
+
+def test_enumerate_leaves_nothing_for_the_collector():
+    # with the collector off, a listing must free all it built when it
+    # returns; a reference cycle would keep its table and ends (0.8 MB
+    # here).  Up to 0.14 MB of freed 2-tuples stay on the tuple free list.
+    gc.disable()
     tracemalloc.start()
     try:
-        rows = enumerate_degree(12, 8)
-        current, peak = tracemalloc.get_traced_memory()
+        before = tracemalloc.get_traced_memory()[0]
+        del enumerate_degree(2, 102_673)[:]
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(rows) == count(12, 8)
-    # current is (nearly all) the listing itself; blocks are bounded
-    assert peak - current < 2 * 2**20
+        gc.enable()
+    assert after - before < 2**19
 
 
 def test_enumerate_capacity_cap(monkeypatch):
@@ -144,6 +194,14 @@ def test_multinomial_identity_matches_per_row_loop():
                 got = multinomial_identity_residual(x, k)
                 # both sides are relative to max(1, (sum x)^k)
                 assert abs(got - loop_identity_residual(x, k)) <= 1e-14, (x, k)
+
+
+def test_multinomial_identity_at_part_dtype_boundary():
+    # k = 127 lists int8 parts, k = 128 int16 parts
+    for k in (127, 128):
+        for x in [(0.25, 0.75), (0.6, 0.9)]:
+            got = multinomial_identity_residual(x, k)
+            assert abs(got - loop_identity_residual(x, k)) <= 1e-13, (x, k)
 
 
 def test_multinomial_identity_large_degree():
