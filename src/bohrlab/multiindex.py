@@ -48,7 +48,7 @@ def validate(alpha):
 def _checked(n, k):
     """(n, k) as ints; ParameterError unless both are integers, not bools,
     with n >= 1 and k >= 0."""
-    if type(n) is not int or type(k) is not int:  # bools included
+    if type(n) is not int or type(k) is not int:  # bools take this path too
         try:
             if isinstance(n, bool) or isinstance(k, bool):
                 raise TypeError  # operator.index takes bools as ints
