@@ -2,7 +2,7 @@
 
 Exact closed-form radii, powered-majorant evaluation, per-family
 safeguarded Newton radius solvers, certified lower/witness upper bounds,
-scaling-exponent sweeps, and stars-and-bars multi-index enumeration.
+scaling-exponent sweeps, and array-native multi-index enumeration.
 """
 
 from .asymptotics import FitResult, SweepRecord, fit_exponent, h2_limit_check, sweep

@@ -1,13 +1,13 @@
 """Powered majorant S_p(f, r, domain) = sup_{z in rR} sum ||x_alpha||^p |z^alpha|^p.
 
-On the polydisk the sup separates (|z_i| = r termwise) and the value is
-exact, including the closed-form tail.  On an l_t ball the sup becomes a
-posynomial maximization over the simplex u_i = |z_i|^t, sum u_i = r^t,
-solved in closed form where one exists and by deterministic multistart
-updates otherwise.  `ball_evaluator(f, p, t, seed)` does once what does
-not depend on r (the term and exponent matrices, the choice of path, the
-start directions) and returns evaluate(r); `powered_majorant_ball` is one
-such evaluation, and each value depends on (f, p, t, seed, r) alone.
+`evaluator(f, p, domain, seed)` checks p and compiles the domain's path
+once: on the polydisk, where the sup separates (|z_i| = r termwise), the
+sums of ||x_alpha||^p per degree; on an l_t ball, where it is a posynomial
+maximization over the simplex u_i = |z_i|^t, sum u_i = r^t, a closed form
+or deterministic multistart updates.  Its evaluate(r) checks r, adds the
+tail and labels the value for both domains; the `powered_majorant*`
+functions are one evaluation each.  A value depends on (f, p, domain,
+seed, r) alone.
 
 The optimizer's plain update is the fixed-point map u <- T(u) = b w / sum(w)
 with w_i = u_i dF/du_i and b = r^t.  Where the terms use at most
@@ -106,24 +106,20 @@ def _tail_block(f, p, r):
     return block, p * s_slope  # ds/d(log r) = p s
 
 
-def powered_majorant_polydisk(f, p, r):
-    """Exact value of the majorant on the polydisk of radius r."""
-    if p <= 0:
-        raise ParameterError(f"need p > 0, got {p}")
-    if not 0.0 <= r < 1.0:
-        raise ParameterError(f"need r in [0,1), got {r}")
-    value = slope = 0.0
-    for k, dsum in f.degree_power_sums(p).items():
-        term = dsum * r ** (p * k)
-        value += term
-        slope += k * term
-    tail, tail_slope = _tail_block(f, p, r)
-    return MajorantValue(
-        value=value + tail,
-        slope=p * slope + tail_slope,
-        exactness="exact",
-        maximizer=(r,) * f.dimension,
-    )
+def _polydisk_path(f, p):
+    """path(r) -> (value, slope, maximizer) of the explicit terms on the
+    polydisk of radius r, from the per-degree sums of ||x_alpha||^p."""
+    sums = list(f.degree_power_sums(p).items())
+
+    def path(r):
+        value = slope = 0.0
+        for k, dsum in sums:
+            term = dsum * r ** (p * k)
+            value += term
+            slope += k * term
+        return value, p * slope, (r,) * f.dimension
+
+    return path
 
 
 def _terms(f, p):
@@ -195,27 +191,15 @@ def _start_directions(n, alphas, coeffs, seed, n_starts):
     return np.array(points[:n_starts])
 
 
-def ball_evaluator(f, p, t, seed=0):
-    """evaluate(r) -> the majorant over the l_t ball of radius r.
-
-    Everything that does not depend on r is done here once: the term
-    matrices, the choice between the closed forms and the optimizer, and
-    the optimizer's exponent and outer-product matrices and start
-    directions.  evaluate(r) depends on (f, p, t, seed, r) alone; no
-    evaluation starts from an earlier one.
-
-    A present tail is bounded by its polydisk closed form and added on top.
-    Closed forms cover single monomials and pure degree-1 families; the rest
-    runs the deterministic multistart optimizer on the simplex, all starts
-    in one batch.
-    """
-    if p <= 0:
-        raise ParameterError(f"need p > 0, got {p}")
-    if not (1.0 <= t < math.inf):
-        raise ParameterError(f"need t in [1, inf), got {t}")
+def _ball_path(f, p, t, seed):
+    """(path, optimizes): path(r) -> (value, slope, maximizer) of the
+    explicit terms over the l_t ball of radius r, and whether path(r) runs
+    the optimizer at r > 0.  Closed forms cover single monomials and pure
+    degree-1 families; the rest runs the multistart optimizer, all starts
+    in one batch.  Where no start converges, the slope is None and the
+    maximizer the best point found, or None."""
     alphas, coeffs = _terms(f, p)
     n = f.dimension
-
     degrees = alphas.sum(axis=1)
     closed = maximize = None
     if len(coeffs) == 1:
@@ -230,35 +214,18 @@ def ball_evaluator(f, p, t, seed=0):
     elif len(coeffs) > 1:
         maximize = _simplex_maximizer(alphas, coeffs, p / t, seed)
 
-    def evaluate(r):
-        if not 0.0 <= r < 1.0:
-            raise ParameterError(f"need r in [0,1), got {r}")
-        tail_bound, tail_slope = _tail_block(f, p, r)
+    def path(r):
         if len(coeffs) == 0 or r == 0.0:
-            value, slope, z = 0.0, 0.0, (r * n ** (-1.0 / t),) * n
-        elif closed is not None:
-            value, slope, z = closed(r)
-        else:
-            value, u, terms, converged = maximize(r**t)
-            if not converged:
-                raise ConvergenceError(
-                    "ball maximizer did not converge on any start",
-                    best_value=value + tail_bound,
-                    best_point=None if u is None else tuple(u ** (1.0 / t)),
-                )
-            # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
-            slope = p * float(terms @ degrees)
-            z = tuple(float(ui) ** (1.0 / t) for ui in u)
-        # exact: a closed form or the empty sum, and no tail mass at r
-        exact = (maximize is None or r == 0.0) and tail_bound == 0.0
-        return MajorantValue(
-            value=value + tail_bound,
-            slope=slope + tail_slope,
-            exactness="exact" if exact else "optimizer",
-            maximizer=z,
-        )
+            return 0.0, 0.0, (r * n ** (-1.0 / t),) * n
+        if closed is not None:
+            return closed(r)
+        value, u, terms, converged = maximize(r**t)
+        if not converged:
+            return value, None, None if u is None else tuple(u ** (1.0 / t))
+        # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
+        return value, p * float(terms @ degrees), tuple(float(ui) ** (1.0 / t) for ui in u)
 
-    return evaluate
+    return path, maximize is not None
 
 
 def _simplex_maximizer(alphas, coeffs, s, seed):
@@ -472,20 +439,51 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
     return maximize
 
 
-def powered_majorant_ball(f, p, t, r, seed=0):
-    """Majorant over the l_t ball of radius r: one evaluation of
-    `ball_evaluator(f, p, t, seed)`."""
-    return ball_evaluator(f, p, t, seed)(r)
-
-
 def evaluator(f, p, domain, seed=0):
-    """evaluate(r) -> the majorant over the domain of radius r: the polydisk
-    closed form, or `ball_evaluator(f, p, domain.t, seed)`."""
-    if domain.kind == "polydisk":
-        return lambda r: powered_majorant_polydisk(f, p, r)
-    return ball_evaluator(f, p, domain.t, seed)
+    """evaluate(r) -> the majorant over the domain of radius r; no
+    evaluation starts from an earlier one.
+
+    A present tail is added by its polydisk closed form: exact on the
+    polydisk, an upper bound on the ball.  So a value is labelled exact on
+    the polydisk, and on the ball when it comes from a closed form or the
+    empty sum (r = 0 included) and the tail adds nothing at r; otherwise
+    it is labelled optimizer.
+    """
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"need p > 0 and finite, got {p}")
+    polydisk = domain.kind == "polydisk"
+    if polydisk:
+        path, optimizes = _polydisk_path(f, p), False
+    else:
+        path, optimizes = _ball_path(f, p, domain.t, seed)
+
+    def evaluate(r):
+        if not 0.0 <= r < 1.0:
+            raise ParameterError(f"need r in [0,1), got {r}")
+        tail, tail_slope = _tail_block(f, p, r)
+        value, slope, z = path(r)
+        if slope is None:
+            raise ConvergenceError(
+                "ball maximizer did not converge on any start",
+                best_value=value + tail,
+                best_point=z,
+            )
+        exact = (not optimizes or r == 0.0) and (polydisk or tail == 0.0)
+        return MajorantValue(value + tail, slope + tail_slope, "exact" if exact else "optimizer", z)
+
+    return evaluate
 
 
 def powered_majorant(f, p, domain, r, seed=0):
+    """The majorant over the domain of radius r: one evaluation of `evaluator`."""
     return evaluator(f, p, domain, seed)(r)
 
+
+def powered_majorant_polydisk(f, p, r):
+    """Exact value of the majorant on the polydisk of radius r."""
+    return powered_majorant(f, p, DomainSpec.polydisk(), r)
+
+
+def powered_majorant_ball(f, p, t, r, seed=0):
+    """Majorant over the l_t ball of radius r."""
+    return powered_majorant(f, p, DomainSpec.lt_ball(t), r, seed)

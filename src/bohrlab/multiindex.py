@@ -146,6 +146,9 @@ def enumerate_degree(n, k):
     or non-integer n or k, and CapacityError, before listing anything, when
     the count exceeds ENUMERATION_CAP.
     """
+    n, k = _checked(n, k)
+    if n == 1:
+        return [(k,)]  # the one index, whose part may exceed every numpy integer type
     rows = []
     for chunk in _listing(n, k):
         unpack = struct.Struct(f"{len(chunk)}{chunk.dtype.char}").iter_unpack
@@ -211,7 +214,9 @@ def multinomial_identity_residual(x, k):
     each weight k!/alpha! from a factorial table and each term formed in
     the order float(weight) * x_1^alpha_1 * ... * x_n^alpha_n.  Raises
     ParameterError for an entry of x that is negative or not finite, or
-    when a weight or (sum x_i)^k exceeds the float range.
+    when a weight or (sum x_i)^k exceeds the float range, and
+    CapacityError, before any table is built, when the count or the
+    n (k + 1) entries of the power table exceed ENUMERATION_CAP.
     """
     n, k = _checked(len(x), k)
     if k < 1:
@@ -223,11 +228,14 @@ def multinomial_identity_residual(x, k):
         rhs = sum(x) ** k
     except OverflowError:
         raise ParameterError(f"(sum x_i)^{k} exceeds the float range") from None
+    if n * (k + 1) > ENUMERATION_CAP:
+        raise CapacityError(f"the {n} x {k + 1} power table exceeds the cap {ENUMERATION_CAP}")
+    chunks = _listing(n, k)  # refuses a count over the cap
     mant, expo = _factorials(k)
     powers = np.power.outer(x, np.arange(k + 1))  # powers[i, a] = x_i ** a
     offsets = np.arange(0, powers.size, k + 1)[:, None]  # flat index of powers[i, 0]
     lhs = 0.0
-    for parts in _listing(n, k):
+    for parts in chunks:
         m, e = np.frexp(mant[k] / mant.take(parts).prod(axis=0))
         e += expo[k] - expo.take(parts).sum(axis=0)
         if e.max() > 1024:

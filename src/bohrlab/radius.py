@@ -135,10 +135,9 @@ def _newton_point(r, value, slope):
 
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1."""
+    majorant = maj.evaluator(f, p, domain, seed)  # checks p, saturated or not
     if not f.has_degree_mass():
         return saturated_at_one()
-
-    majorant = maj.evaluator(f, p, domain, seed)
 
     def evaluate(r):
         mv = majorant(r)
@@ -223,13 +222,13 @@ def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
         return solve_bohr_radius(pf.holo, p, domain, tol=tol, seed=seed)
     if domain.kind != "polydisk":
         return solve_bohr_radius(merged_weight_family(pf, p), p, domain, tol=tol, seed=seed)
+    # separable sup: the combined sum splits exactly into the two parts
+    parts = [maj.evaluator(part, p, domain) for part in (pf.holo, pf.anti)]
     if not (pf.holo.has_degree_mass() or pf.anti.has_degree_mass()):
         return saturated_at_one()
 
-    # separable sup: the combined sum splits exactly into the two parts
     def evaluate(r):
-        holo = maj.powered_majorant_polydisk(pf.holo, p, r)
-        anti = maj.powered_majorant_polydisk(pf.anti, p, r)
+        holo, anti = (majorant(r) for majorant in parts)
         return holo.value + anti.value, holo.slope + anti.slope
 
     return bisect_unit_crossing(evaluate, tol=tol)

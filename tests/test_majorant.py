@@ -178,14 +178,14 @@ def test_ball_deterministic_in_seed():
         assert a.value == b.value and a.maximizer == b.maximizer
 
 
-def test_ball_evaluator_values_do_not_depend_on_earlier_evaluations():
+@pytest.mark.parametrize("ball", [False, True], ids=["polydisk", "ball"])
+def test_evaluator_values_do_not_depend_on_earlier_evaluations(ball):
     # a solve reuses one evaluator; each value must equal a fresh evaluation
     for f, p, t, r in optimizer_cases(9, 5):
-        evaluate = majorant.ball_evaluator(f, p, t, seed=3)
+        domain = DomainSpec.lt_ball(t) if ball else DomainSpec.polydisk()
+        evaluate = majorant.evaluator(f, p, domain, seed=3)
         for x in [r, 0.5 * r, r, 0.9 * r]:
-            got = evaluate(x)
-            fresh = powered_majorant_ball(f, p, t, x, seed=3)
-            assert got == fresh
+            assert evaluate(x) == majorant.powered_majorant(f, p, domain, x, seed=3)
 
 
 def test_ball_batched_starts_match_serial_reference():

@@ -65,6 +65,13 @@ def test_enumerate_at_part_dtype_boundaries(n, k):
     assert all(type(a) is int for row in rows for a in row)
 
 
+@pytest.mark.parametrize("k", [2**63 - 1, 2**63, 2**64])
+def test_enumerate_one_variable_at_any_degree(k):
+    # 2**63 and up have no numpy integer type; the one index is listed anyway
+    rows = enumerate_degree(1, k)
+    assert rows == [(k,)] and type(rows[0][0]) is int
+
+
 def test_enumerate_accepts_numpy_integers():
     rows = enumerate_degree(np.int64(3), np.int64(2))
     assert rows == enumerate_degree(3, 2)
@@ -228,6 +235,19 @@ def test_multinomial_identity_capacity_cap(monkeypatch):
     monkeypatch.setattr(multiindex, "ENUMERATION_CAP", 10)
     with pytest.raises(CapacityError):
         multinomial_identity_residual((1.0, 1.0, 1.0, 1.0), 4)
+
+
+def test_multinomial_identity_refuses_large_tables_before_building_them(monkeypatch):
+    def no_tables(k):
+        raise AssertionError(f"factorial table of degree {k} built")
+
+    monkeypatch.setattr(multiindex, "_factorials", no_tables)
+    cap = multiindex.ENUMERATION_CAP
+    # the power table alone over the cap (n = 1 lists one index at any k),
+    # then the count over the cap with a small table
+    for x, k in [([1.0], 2**63), ([1.0], cap), ([0.5, 0.5], cap // 2), ([0.1] * 3, 20_000)]:
+        with pytest.raises(CapacityError):
+            multinomial_identity_residual(x, k)
 
 
 def test_multinomial_identity_random():

@@ -316,3 +316,36 @@ def test_pluriharmonic_merge_overflow_is_a_parameter_error():
     )
     with pytest.raises(ParameterError, match="exceeds the float range"):
         pluriharmonic_radius(pf, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("t", [math.inf, 2.0], ids=["polydisk", "ball"])
+def test_non_finite_p_is_refused(p, t):
+    # S_p has no value at a non-finite p, so no radius may come out of it
+    domain = DomainSpec.from_t(t)
+    explicit = family.explicit(2, {(1, 0): 0.5, (2, 1): 0.7, (0, 3): 0.2})
+    for f in [family.moebius(0.5), family.extremal_g(3, 1.0), explicit]:
+        with pytest.raises(ParameterError, match="need p > 0 and finite"):
+            solve_bohr_radius(f, p, domain)
+    pf = PluriharmonicFamily(holo=explicit, anti=family.explicit(2, {(1, 0): 0.25}))
+    with pytest.raises(ParameterError, match="need p > 0 and finite"):
+        pluriharmonic_radius(pf, p, t)
+
+
+def test_polydisk_solves_take_the_degree_sums_once(monkeypatch):
+    # the evaluator compiles the sums once per solve, not once per evaluation
+    calls = []
+    degree_power_sums = family.CoefficientFamily.degree_power_sums
+
+    def counting(self, p):
+        calls.append(p)
+        return degree_power_sums(self, p)
+
+    monkeypatch.setattr(family.CoefficientFamily, "degree_power_sums", counting)
+    res = solve_bohr_radius(family.extremal_g(5, 1.0), 1.0, DomainSpec.polydisk())
+    assert res.evaluations > 2 and len(calls) == 1
+    calls.clear()
+    holo = family.explicit(2, {(1, 0): 0.5, (1, 1): 0.4})
+    pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(0, 1): 0.3}))
+    res = pluriharmonic_radius(pf, 1.0, math.inf)
+    assert res.evaluations > 2 and len(calls) == 2
