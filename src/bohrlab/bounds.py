@@ -8,12 +8,11 @@ from dataclasses import dataclass
 from . import multiindex
 from .errors import NotCertifiedError, ParameterError
 from .family import linear_form_scale
-from .radius import RadiusResult, TOP_RADIUS, saturated_at_one
+from .radius import RadiusResult, bisect_unit_crossing, saturated_at_one
 
 SANDWICH_SLACK = 1e-12
 COEFFICIENT_SLACK = 1e-12
-# the numeric certificate bisects to this width, summing at most this many terms
-CERTIFICATE_TOL = 1e-12
+# the numeric certificate's series sums at most this many terms
 CERTIFICATE_MAX_TERMS = 1_000_000
 
 
@@ -29,12 +28,10 @@ class CertificateInput:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"need n >= 1, got {self.n}")
-        if self.p <= 0:
-            raise ParameterError(f"need p > 0, got {self.p}")
+        if not (0.0 < self.p < math.inf and self.q >= 1.0 and 0.0 <= self.C < math.inf):
+            raise ParameterError(f"out of range: p={self.p}, q={self.q}, C={self.C}")
         if self.p > self.q:
             raise ParameterError(f"the chain needs p <= q, got p={self.p}, q={self.q}")
-        if self.C < 0:
-            raise ParameterError(f"need C >= 0, got {self.C}")
 
 
 def ball_certificate(n, p, q, t):
@@ -50,8 +47,19 @@ def ball_certificate(n, p, q, t):
     return CertificateInput(n=n, p=p, q=gamma, C=c_base)
 
 
-def _log_count(n, k):
-    return math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _log_up(m):
+    """An upper bound on log m, for an integer m >= 1 of any size."""
+    shift = max(m.bit_length() - 53, 0)
+    top = -(-m >> shift)  # ceil(m / 2^shift) <= 2^53, exact as a float
+    return _up(_up(math.log(top)) + _up(shift * _up(math.log(2.0))))
 
 
 def certified_lower_bound(cert, mode="closed_form"):
@@ -59,11 +67,12 @@ def certified_lower_bound(cert, mode="closed_form"):
 
     closed_form: 1 / (2^(1/p) (2e)^(1/p-1/q) C n^(1/p-1/q)), the explicit
     inequality chain; n-independent 1/(2^(1/p) C) when p = q.
-    numeric: the lower end of a bisection bracket, of width CERTIFICATE_TOL,
-    on the crossing of sum_k (C r)^(pk) count(n,k)^(1-p/q) through 1, using
-    exact counts; the series was evaluated <= 1 there.  The closed form
-    never exceeds the crossing, so this is at least the closed form less
-    CERTIFICATE_TOL.
+    numeric: the lower end of bisect_unit_crossing's bracket on the crossing
+    of sum_k (C r)^(pk) count(n,k)^(1-p/q) through 1, solved on an upper
+    bound of the series (exact counts, each float operation rounded outward,
+    a bound on the dropped terms; math.exp and math.log are taken to be
+    within one ulp), so the series is <= 1 there.  It misses the crossing by
+    about 1e-12 of it at most, and the closed form never exceeds the crossing.
     """
     n, p, q, c = cert.n, cert.p, cert.q, cert.C
     if mode not in ("closed_form", "numeric"):
@@ -78,47 +87,37 @@ def certified_lower_bound(cert, mode="closed_form"):
             value=value, method="certified_lower", residual=0.0, bracket=(value, value)
         )
 
-    frac = 1.0 - (0.0 if math.isinf(q) else p / q)  # exponent on the count
+    frac = 1.0 if math.isinf(q) else _up(1.0 - _down(p / q))  # exponent on the count
 
-    def series(r):
-        if c * r >= 1.0:
-            return math.inf
-        log_cr_p = p * math.log(c * r) if r > 0 else -math.inf
-        total = 0.0
-        prev = math.inf
+    def series(r):  # (U(r), p sum_k k term_k), or (inf, nan) if no U <= 4 is found
+        cr = _up(c * r)
+        if cr >= 1.0:
+            return math.inf, math.nan
+        log_x = _up(p * _up(math.log(cr)))  # log (C r)^p
+        total = slope = 0.0
+        count = 1  # C(n+k-1, k), exact, by C(n+k-1, k) = C(n+k-2, k-1) (n+k-1)/k
         for k in range(1, CERTIFICATE_MAX_TERMS + 1):
-            term = math.exp(k * log_cr_p + frac * _log_count(n, k))
-            total += term
+            count = count * (n + k - 1) // k
+            term = _up(math.exp(_up(_up(k * log_x) + _up(frac * _log_up(count)))))
+            total = _up(total + term)
+            slope += k * term
             if total > 4.0:
-                return total
-            if term < 1e-18 and term <= prev:
                 break
-            prev = term
-        return total
+            # the term ratio x ((n+k)/(k+1))^frac falls with k: it bounds the rest
+            log_step = _up(frac * _up(math.log(_up((n + k) / (k + 1)))))
+            ratio = _up(math.exp(_up(log_x + log_step)))
+            if ratio < 1.0:
+                rest = _up(term * _up(ratio / _down(1.0 - ratio)))
+                if rest <= 1e-17 * total:
+                    return _up(total + rest), p * slope
+        return math.inf, math.nan
 
-    evals = 0
-
-    def evaluate(r):
-        nonlocal evals
-        evals += 1
-        return series(r)
-
-    lo, hi = 0.0, min(TOP_RADIUS, (1.0 - 1e-12) / c)
-    if evaluate(hi) <= 1.0:  # only for C <= 1: above it the series passes 4 at hi
-        return saturated_at_one(evals)
-    while hi - lo > CERTIFICATE_TOL:
-        mid = 0.5 * (lo + hi)
-        if evaluate(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return RadiusResult(
-        value=lo,
-        method="certified_lower",
-        residual=abs(evaluate(lo) - 1.0),
-        bracket=(lo, hi),
-        evaluations=evals,
-    )
+    res = bisect_unit_crossing(series)
+    if res.method == "saturated_at_one":
+        return res
+    lo = res.bracket[0]
+    residual = abs(series(lo)[0] - 1.0)
+    return RadiusResult(lo, "certified_lower", residual, res.bracket, res.evaluations + 1)
 
 
 def witness_upper_linear_form(n, p, q, t):
@@ -130,7 +129,7 @@ def witness_upper_linear_form(n, p, q, t):
     """
     if n < 1:
         raise ParameterError(f"need n >= 1, got {n}")
-    if p <= 0 or not (q >= 1.0) or not (t >= 1.0):
+    if not (0.0 < p < math.inf and q >= 1.0 and t >= 1.0):
         raise ParameterError(f"parameters out of range: p={p}, q={q}, t={t}")
     inv_t = 0.0 if math.isinf(t) else 1.0 / t
     value = min(1.0, linear_form_scale(n, q, t) * n ** (inv_t - 1.0 / p))

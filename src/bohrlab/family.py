@@ -66,8 +66,8 @@ class CoefficientFamily:
                 raise ParameterError(
                     f"index {alpha} exceeds truncation degree {self.truncation_degree}"
                 )
-            if value < 0:
-                raise ParameterError(f"entry at {alpha} is negative: {value}")
+            if not 0 <= value < math.inf:
+                raise ParameterError(f"entry at {alpha} is not in [0, inf): {value}")
 
     def degree_power_sums(self, p):
         """Map k -> sum of ||x_alpha||^p over explicit entries of degree k >= 1."""

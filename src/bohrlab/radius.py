@@ -193,11 +193,11 @@ class PluriharmonicFamily:
 def merged_weight_family(pf, p):
     """Entries (|a_alpha|^p + |b_alpha|^p)^(1/p) over the union of indices.
 
-    Requires p > 0 and both parts tail-free; tails are handled by the caller
-    through the one-sided polydisk closed forms.
+    Requires a finite p > 0 and both parts tail-free; tails are handled by
+    the caller through the one-sided polydisk closed forms.
     """
-    if p <= 0:
-        raise ParameterError(f"need p > 0, got {p}")
+    if not 0.0 < p < math.inf:
+        raise ParameterError(f"need p > 0 and finite, got {p}")
     if pf.holo.tail is not None or pf.anti.tail is not None:
         raise ParameterError("merged family needs tail-free parts")
     keys = set(pf.holo.entries) | set(pf.anti.entries)

@@ -35,8 +35,8 @@ def test_numeric_geometric_case():
 
 def decimal_series(n, p, q, c, r):
     """sum_{k>=1} (c r)^(pk) C(n+k-1,k)^(1-p/q) in 40-digit decimals with
-    exact integer counts, stopped once the total passes 4 or a term falls
-    below 1e-30 of it."""
+    exact integer counts, stopped once the total passes 4 or a term is zero
+    or falls below 1e-30 of it."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         frac = Decimal(1) if math.isinf(q) else 1 - Decimal(p) / Decimal(q)
@@ -47,23 +47,39 @@ def decimal_series(n, p, q, c, r):
             power *= x
             term = power * Decimal(math.comb(n + k - 1, k)) ** frac
             total += term
-            if total > 4 or term < total * Decimal("1e-30"):
+            if total > 4 or term == 0 or term < total * Decimal("1e-30"):
                 return total
 
 
 def test_numeric_certificate_keeps_the_series_at_most_one():
     # the returned radius is certified only where the series is <= 1; the
-    # bracket's midpoint exceeded 1 in about a third of these cases
-    for n in [1, 3, 10, 57, 300, 5000]:
+    # bracket's midpoint exceeded 1 in about a third of these cases, and a
+    # float series let the lower end exceed it by up to 1.6e-10 at n = 10^6
+    evaluations = []
+    for n in [1, 3, 10, 57, 300, 5000, 10**6]:
         for p in [0.5, 0.9, 1.0, 1.3, 1.9]:
             for q in [2.0, 3.0, math.inf]:
                 for c in [0.3, 1.0, 2.0]:
                     res = certified_lower_bound(CertificateInput(n, p, q, c), mode="numeric")
+                    evaluations.append(res.evaluations)
                     if res.method == "saturated_at_one":
                         assert decimal_series(n, p, q, c, TOP_RADIUS) <= 1
                         continue
                     assert res.value == res.bracket[0]
                     assert decimal_series(n, p, q, c, res.value) <= 1, (n, p, q, c)
+    # Newton steps on the shared root finder, not plain bisection (about 38)
+    assert sum(evaluations[:270]) / 270 <= 16
+
+
+def test_numeric_certificate_matches_the_q_inf_closed_form():
+    # at q = inf the series is (1 - (C r)^p)^(-n) - 1, which crosses 1 at
+    # r = (1 - 2^(-1/n))^(1/p) / C; the bracket is relative to the radius
+    for n in [1, 10, 10**3, 10**5, 10**6]:
+        for p in [0.5, 1.0, 1.9]:
+            for c in [0.3, 1.0, 2.0]:
+                got = certified_lower_bound(CertificateInput(n, p, math.inf, c), mode="numeric")
+                want = min(1.0, family.stable_half_root_gap(n) ** (1.0 / p) / c)
+                assert got.value == pytest.approx(want, rel=1e-11, abs=0.0), (n, p, c)
 
 
 def test_numeric_dominates_closed_form():
@@ -103,6 +119,20 @@ def test_certificate_validation():
     for cert in [CertificateInput(1, 1.0, 2.0, 1.0), CertificateInput(3, 1.0, 2.0, 0.0)]:
         with pytest.raises(ParameterError):
             certified_lower_bound(cert, mode="weird")
+
+
+def test_non_finite_parameters_refused():
+    nan, inf = math.nan, math.inf
+    for p, q, c in [
+        (nan, 2.0, 1.0), (inf, inf, 1.0), (1.0, nan, 1.0), (0.5, 0.8, 1.0),
+        (1.0, 2.0, nan), (1.0, 2.0, inf), (1.0, 2.0, -1.0),
+    ]:
+        with pytest.raises(ParameterError):
+            CertificateInput(10, p, q, c)
+    assert CertificateInput(10, 1.0, inf, 1.0).q == inf
+    for p in [nan, inf, 0.0]:
+        with pytest.raises(ParameterError):
+            witness_upper_linear_form(10, p, 2.0, 2.0)
 
 
 def test_ball_certificate_preset():

@@ -280,6 +280,14 @@ def test_coefficient_power_overflow_exits_4(capsys):
     assert out == "" and err == "error: an entry's 2.0-th power exceeds the float range\n"
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_family_entry_exits_4(capsys, value):
+    stdin_text = f'{{"dimension": 1, "truncation_degree": 1, "entries": [[[1], {value}]]}}'
+    assert main(["solve", "--p", "1"], stdin_text=stdin_text) == EXIT_RANGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: entry at (1,) is not in [0, inf)")
+
+
 def test_float_fields_have_17_digit_round_trip():
     _, out = run_cli(["exact-h2", "--n", "3", "--p", "1.3"])
     raw = out.split('"value": ')[1].split("}")[0]

@@ -71,6 +71,8 @@ def test_rescale():
     assert scaled.tail.parameter == pytest.approx(0.25)
     with pytest.raises(ParameterError):
         family.rescale(family.explicit(2, {(1, 0): 1.0}, tail=family.AnalyticTail(0.5)), (0.5, 0.6))
+    with pytest.raises(ParameterError):
+        family.rescale(f, (math.nan, 1.0))
 
 
 def test_rescale_damps_h2_norm():
@@ -156,5 +158,8 @@ def test_validation():
         family.CoefficientFamily(dimension=2, entries={(1,): 1.0}, truncation_degree=1)
     with pytest.raises(ParameterError):
         family.CoefficientFamily(dimension=1, entries={(1,): -1.0}, truncation_degree=1)
+    for value in [math.nan, math.inf, -math.inf]:
+        with pytest.raises(ParameterError):
+            family.CoefficientFamily(dimension=1, entries={(1,): value}, truncation_degree=1)
     with pytest.raises(ParameterError):
         family.AnalyticTail(parameter=1.0)
