@@ -26,8 +26,7 @@ class CertificateInput:
     C: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"need n >= 1, got {self.n}")
+        multiindex.checked_int("n", self.n, 1)
         if not (0.0 < self.p < math.inf and self.q >= 1.0 and 0.0 <= self.C < math.inf):
             raise ParameterError(f"out of range: p={self.p}, q={self.q}, C={self.C}")
         if self.p > self.q:
@@ -127,8 +126,7 @@ def witness_upper_linear_form(n, p, q, t):
     n^(1/q - 1/p).  Equals the exact per-family radius of the built linear
     form whenever p <= t.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    multiindex.checked_int("n", n, 1)
     if not (0.0 < p < math.inf and q >= 1.0 and t >= 1.0):
         raise ParameterError(f"parameters out of range: p={p}, q={q}, t={t}")
     inv_t = 0.0 if math.isinf(t) else 1.0 / t

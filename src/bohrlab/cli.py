@@ -347,7 +347,7 @@ def _residual(config, stdin_text):
 def _solve(config, stdin_text):
     prm = config.params
     f = _family(prm, stdin_text)
-    domain = majorant.DomainSpec.from_t(prm["t"])
+    domain = majorant.DomainSpec(prm["t"])
     tol = prm.get("tol", radius.DEFAULT_TOL)
     res = radius.solve_bohr_radius(f, prm["p"], domain, tol=tol, seed=prm["seed"])
     return res.to_dict()

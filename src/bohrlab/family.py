@@ -54,10 +54,12 @@ class CoefficientFamily:
     sup_norm_certified: bool = False
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.dimension}")
-        if self.truncation_degree < 0:
-            raise ParameterError("truncation_degree must be >= 0")
+        multiindex.checked_int("dimension", self.dimension, 1)
+        multiindex.checked_int("truncation_degree", self.truncation_degree, 0)
+        if not isinstance(self.sup_norm_certified, bool):
+            raise ParameterError(
+                f"sup_norm_certified must be a bool, got {self.sup_norm_certified!r}"
+            )
         for alpha, value in self.entries.items():
             multiindex.validate(alpha)
             if len(alpha) != self.dimension:
@@ -69,20 +71,21 @@ class CoefficientFamily:
             if not 0 <= value < math.inf:
                 raise ParameterError(f"entry at {alpha} is not in [0, inf): {value}")
 
+    def powered_terms(self, p):
+        """[(alpha, ||x_alpha||^p)] over the explicit entries with a positive
+        norm and degree >= 1, in entry order."""
+        try:
+            # the value test comes first: it skips summing a zero entry's index
+            return [(a, v**p) for a, v in self.entries.items() if v > 0.0 and sum(a) >= 1]
+        except OverflowError:
+            raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
+
     def degree_power_sums(self, p):
         """Map k -> sum of ||x_alpha||^p over explicit entries of degree k >= 1."""
         sums = {}
-        try:
-            for alpha, value in self.entries.items():
-                # the value test comes first: it skips summing a zero entry's index
-                if value == 0.0:
-                    continue
-                k = sum(alpha)
-                if k == 0:
-                    continue
-                sums[k] = sums.get(k, 0.0) + value**p
-        except OverflowError:
-            raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
+        for alpha, term in self.powered_terms(p):
+            k = sum(alpha)
+            sums[k] = sums.get(k, 0.0) + term
         return sums
 
     def tail_block(self, s):
@@ -103,12 +106,6 @@ class CoefficientFamily:
             total -= term
             slope -= k * term
         return max(total, 0.0), max(slope, 0.0)
-
-    def has_degree_mass(self):
-        """True if any degree >= 1 coefficient (explicit or tail) is positive."""
-        if any(v > 0.0 and sum(a) >= 1 for a, v in self.entries.items()):
-            return True
-        return self.tail is not None and self.tail.parameter > 0.0
 
 
 def explicit(dimension, entries, tail=None, label="explicit", certified=False):
@@ -154,8 +151,7 @@ def extremal_g(n, p):
     """
     if not 0.0 < p < 2.0:
         raise ParameterError(f"extremal_g needs p in (0,2), got {p}")
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    multiindex.checked_int("n", n, 1)
     v = math.sqrt(stable_half_root_gap(n))
     return CoefficientFamily(
         dimension=n,
@@ -178,8 +174,7 @@ def linear_form(n, q, t):
 
     Values live in l_q^n; M = linear_form_scale(n, q, t) normalizes.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    multiindex.checked_int("n", n, 1)
     if not (q >= 1.0) or not (t >= 1.0):
         raise ParameterError(f"need q, t >= 1, got q={q}, t={t}")
     m = linear_form_scale(n, q, t)
@@ -316,9 +311,12 @@ def _tail_from_json(tail):
 def from_json(text):
     doc = json.loads(text)
     tail = doc.get("tail")
+    entries = {tuple(parts): value for parts, value in doc["entries"]}
+    if len(entries) != len(doc["entries"]):
+        raise ParameterError("an index is given twice in the entries")
     return CoefficientFamily(
         dimension=doc["dimension"],
-        entries={tuple(parts): value for parts, value in doc["entries"]},
+        entries=entries,
         truncation_degree=doc["truncation_degree"],
         tail=None if tail is None else _tail_from_json(tail),
         label=doc.get("label", ""),

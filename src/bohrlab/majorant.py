@@ -58,30 +58,22 @@ NEWTON_MAX_DIM = 16
 
 @dataclass(frozen=True)
 class DomainSpec:
-    kind: str  # "polydisk" | "lt_ball"
-    t: float = math.inf
+    t: float  # inf: the polydisk; [1, inf): the l_t ball
 
     def __post_init__(self):
-        if self.kind == "polydisk":
-            if not math.isinf(self.t):
-                raise ParameterError("polydisk has t = inf")
-        elif self.kind == "lt_ball":
-            if not (1.0 <= self.t < math.inf):
-                raise ParameterError(f"lt_ball needs t in [1, inf), got {self.t}")
-        else:
-            raise ParameterError(f"unknown domain kind: {self.kind}")
+        if not self.t >= 1.0:
+            raise ParameterError(f"need t in [1, inf], got {self.t}")
 
     @staticmethod
     def polydisk():
-        return DomainSpec(kind="polydisk")
+        return DomainSpec(math.inf)
 
     @staticmethod
     def lt_ball(t):
-        return DomainSpec(kind="lt_ball", t=float(t))
-
-    @staticmethod
-    def from_t(t):
-        return DomainSpec.polydisk() if math.isinf(t) else DomainSpec.lt_ball(t)
+        t = float(t)
+        if math.isinf(t):
+            raise ParameterError(f"lt_ball needs t in [1, inf), got {t}")
+        return DomainSpec(t)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class MajorantValue:
     value: float
     slope: float  # dS/d(log r)
     exactness: str  # "exact" | "optimizer"
-    maximizer: tuple | None = None
+    maximizer: tuple | None = None  # on the ball; None on the polydisk
 
 
 def _tail_block(f, p, r):
@@ -107,8 +99,9 @@ def _tail_block(f, p, r):
 
 
 def _polydisk_path(f, p):
-    """path(r) -> (value, slope, maximizer) of the explicit terms on the
-    polydisk of radius r, from the per-degree sums of ||x_alpha||^p."""
+    """path(r) -> (value, slope, None) of the explicit terms on the polydisk
+    of radius r, from the per-degree sums of ||x_alpha||^p.  The sup sits at
+    |z_i| = r, so no maximizer is built."""
     sums = list(f.degree_power_sums(p).items())
 
     def path(r):
@@ -117,24 +110,17 @@ def _polydisk_path(f, p):
             term = dsum * r ** (p * k)
             value += term
             slope += k * term
-        return value, p * slope, (r,) * f.dimension
+        return value, p * slope, None
 
     return path
 
 
 def _terms(f, p):
-    """(alpha matrix, ||x||^p coefficients) over positive entries of degree >= 1."""
-    alphas = []
-    coeffs = []
-    try:
-        for alpha, value in sorted(f.entries.items()):
-            if sum(alpha) >= 1 and value > 0.0:
-                alphas.append(alpha)
-                coeffs.append(value**p)
-    except OverflowError:
-        raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
-    if not alphas:
+    """(alpha matrix, ||x||^p coefficients) of `f.powered_terms(p)`, sorted by alpha."""
+    terms = sorted(f.powered_terms(p))
+    if not terms:
         return np.zeros((0, f.dimension)), np.zeros(0)
+    alphas, coeffs = zip(*terms)
     return np.array(alphas, dtype=float), np.array(coeffs)
 
 
@@ -451,7 +437,7 @@ def evaluator(f, p, domain, seed=0):
     """
     if not 0.0 < p < math.inf:
         raise ParameterError(f"need p > 0 and finite, got {p}")
-    polydisk = domain.kind == "polydisk"
+    polydisk = math.isinf(domain.t)
     if polydisk:
         path, optimizes = _polydisk_path(f, p), False
     else:
@@ -480,7 +466,8 @@ def powered_majorant(f, p, domain, r, seed=0):
 
 
 def powered_majorant_polydisk(f, p, r):
-    """Exact value of the majorant on the polydisk of radius r."""
+    """Exact value of the majorant on the polydisk of radius r.  The sup sits
+    at |z_i| = r, so the maximizer is None."""
     return powered_majorant(f, p, DomainSpec.polydisk(), r)
 
 

@@ -45,19 +45,25 @@ def validate(alpha):
         raise ParameterError(f"multi-index parts must be nonnegative integers: {alpha}")
 
 
+def checked_int(name, value, least):
+    """value as an int; ParameterError unless it is an integer, not a bool,
+    and at least `least`."""
+    if type(value) is not int:  # bools take this path too
+        try:
+            if isinstance(value, bool):
+                raise TypeError  # operator.index takes bools as ints
+            value = operator.index(value)
+        except TypeError:
+            raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"need {name} >= {least}, got {value}")
+    return value
+
+
 def _checked(n, k):
     """(n, k) as ints; ParameterError unless both are integers, not bools,
     with n >= 1 and k >= 0."""
-    if type(n) is not int or type(k) is not int:  # bools take this path too
-        try:
-            if isinstance(n, bool) or isinstance(k, bool):
-                raise TypeError  # operator.index takes bools as ints
-            n, k = operator.index(n), operator.index(k)
-        except TypeError:
-            raise ParameterError(f"n and k must be integers, got n={n!r}, k={k!r}") from None
-    if n < 1 or k < 0:
-        raise ParameterError(f"need n >= 1 and k >= 0, got n={n}, k={k}")
-    return n, k
+    return checked_int("n", n, 1), checked_int("k", k, 0)
 
 
 def count(n, k):

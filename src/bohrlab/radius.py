@@ -134,10 +134,12 @@ def _newton_point(r, value, slope):
 
 
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
-    """Per-family radius: the crossing of S_p(f, r, domain) through 1."""
-    majorant = maj.evaluator(f, p, domain, seed)  # checks p, saturated or not
-    if not f.has_degree_mass():
-        return saturated_at_one()
+    """Per-family radius: the crossing of S_p(f, r, domain) through 1.
+
+    A family with no positive coefficient of degree >= 1 has S = 0, so the
+    root finder's first probe returns `saturated_at_one`.
+    """
+    majorant = maj.evaluator(f, p, domain, seed)
 
     def evaluate(r):
         mv = majorant(r)
@@ -214,18 +216,16 @@ def merged_weight_family(pf, p):
 
 def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
     """Largest r with sup sum (|a|^p + |b|^p)|z^alpha|^p <= 1 over r B(l_t^n)."""
-    anti_empty = pf.anti.tail is None and not any(
-        v > 0.0 for v in pf.anti.entries.values()
-    )
-    domain = maj.DomainSpec.from_t(t)
-    if anti_empty:
-        return solve_bohr_radius(pf.holo, p, domain, tol=tol, seed=seed)
-    if domain.kind != "polydisk":
-        return solve_bohr_radius(merged_weight_family(pf, p), p, domain, tol=tol, seed=seed)
-    # separable sup: the combined sum splits exactly into the two parts
+    domain = maj.DomainSpec(t)
+    if not math.isinf(t):
+        anti_empty = pf.anti.tail is None and not any(
+            v > 0.0 for v in pf.anti.entries.values()
+        )
+        f = pf.holo if anti_empty else merged_weight_family(pf, p)
+        return solve_bohr_radius(f, p, domain, tol=tol, seed=seed)
+    # separable sup: the combined sum splits exactly into the two parts; an
+    # empty anti part adds 0.0, which leaves every sum as it is
     parts = [maj.evaluator(part, p, domain) for part in (pf.holo, pf.anti)]
-    if not (pf.holo.has_degree_mass() or pf.anti.has_degree_mass()):
-        return saturated_at_one()
 
     def evaluate(r):
         holo, anti = (majorant(r) for majorant in parts)

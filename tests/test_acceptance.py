@@ -144,7 +144,7 @@ def test_criterion_07_linear_form_witness():
             for t in [2.0, math.inf]:
                 w = witness_upper_linear_form(n, 1.0, q, t).value
                 f = family.linear_form(n, q, t)
-                solved = solve_bohr_radius(f, 1.0, DomainSpec.from_t(t), tol=1e-11).value
+                solved = solve_bohr_radius(f, 1.0, DomainSpec(t), tol=1e-11).value
                 ok &= abs(w - solved) <= 1e-8
                 if t == math.inf:
                     # n^(1/q - 1/p) with the same operation order as the witness

@@ -152,7 +152,7 @@ def test_witness_matches_solver_on_built_family():
         for q in [2.0, 3.0]:
             for t in [2.0, math.inf]:
                 f = family.linear_form(n, q, t)
-                solved = solve_bohr_radius(f, 1.0, DomainSpec.from_t(t), tol=1e-11).value
+                solved = solve_bohr_radius(f, 1.0, DomainSpec(t), tol=1e-11).value
                 witness = witness_upper_linear_form(n, 1.0, q, t).value
                 assert solved == pytest.approx(witness, abs=1e-8), (n, q, t)
 

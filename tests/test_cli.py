@@ -288,6 +288,33 @@ def test_non_finite_family_entry_exits_4(capsys, value):
     assert out == "" and err.startswith("error: entry at (1,) is not in [0, inf)")
 
 
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["solve", "--p", "1"], '{"dimension": 2.0, "truncation_degree": 1, "entries": [[[1,0], 0.5]]}'),
+        (
+            ["solve", "--p", "1"],
+            '{"dimension": 1, "truncation_degree": 2.5, "entries": [[[1], 0.5]],'
+            ' "tail": {"kind": "geometric_uniform", "parameter": 0.3}}',
+        ),
+        (
+            ["coeff-check", "--t", "2"],
+            '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5]],'
+            ' "sup_norm_certified": "no"}',
+        ),
+        (
+            ["solve", "--p", "1"],
+            '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5], [[1], 0.9]]}',
+        ),
+    ],
+    ids=["float-dimension", "float-truncation", "str-certified", "repeated-index"],
+)
+def test_non_integer_sizes_and_non_bool_flags_exit_4(capsys, argv, stdin_text):
+    assert main(argv, stdin_text=stdin_text) == EXIT_RANGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_float_fields_have_17_digit_round_trip():
     _, out = run_cli(["exact-h2", "--n", "3", "--p", "1.3"])
     raw = out.split('"value": ')[1].split("}")[0]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import family
+from bohrlab import bounds, family
 from bohrlab.errors import ParameterError
 from bohrlab.majorant import DomainSpec
 from bohrlab.multiindex import count
@@ -147,6 +147,47 @@ def test_json_round_trip():
     doc["tail"]["kind"] = "other"
     with pytest.raises(ParameterError):
         family.from_json(json.dumps(doc))
+
+
+REPEATED_INDEX = '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5], [[1], 0.9]]}'
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: family.CoefficientFamily(2.0, {(1, 0): 0.5}, 1),
+        lambda: family.CoefficientFamily(True, {(1,): 0.5}, 1),
+        lambda: family.CoefficientFamily(1, {}, 2.5, tail=family.AnalyticTail(0.3)),
+        lambda: family.CoefficientFamily(1, {}, False),
+        lambda: family.CoefficientFamily(1, {(1,): 0.5}, 1, sup_norm_certified="no"),
+        lambda: family.CoefficientFamily(1, {(1,): 0.5}, 1, sup_norm_certified=1),
+        lambda: family.from_json(REPEATED_INDEX),
+        lambda: family.extremal_g(2.5, 1.0),
+        lambda: family.linear_form(2.5, 2.0, 2.0),
+        lambda: family.linear_form(True, 2.0, 2.0),
+        lambda: bounds.CertificateInput(2.5, 1.0, 2.0, 1.0),
+        lambda: bounds.witness_upper_linear_form(2.5, 1.0, 2.0, 2.0),
+    ],
+    ids=[
+        "float-dimension",
+        "bool-dimension",
+        "float-truncation",
+        "bool-truncation",
+        "str-certified",
+        "int-certified",
+        "repeated-index",
+        "extremal-g",
+        "linear-form",
+        "linear-form-bool",
+        "certificate",
+        "witness",
+    ],
+)
+def test_sizes_must_be_integers_and_flags_bools(make):
+    # the multi-index rule: an integer that is not a bool; a float or a
+    # bool either crashed later or was used as a size or a flag
+    with pytest.raises(ParameterError):
+        make()
 
 
 def test_validation():

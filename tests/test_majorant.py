@@ -400,9 +400,18 @@ def test_tail_block_slope_overflows_to_inf():
 
 
 def test_domain_spec_validation():
+    # a domain is its t: inf is the polydisk, [1, inf) an l_t ball
+    for t in [0.5, math.nan, -math.inf]:
+        with pytest.raises(ParameterError):
+            DomainSpec(t)
     with pytest.raises(ParameterError):
-        DomainSpec(kind="lt_ball", t=0.5)
-    with pytest.raises(ParameterError):
-        DomainSpec(kind="weird")
-    assert DomainSpec.from_t(math.inf).kind == "polydisk"
-    assert DomainSpec.from_t(2.0).t == 2.0
+        DomainSpec.lt_ball(math.inf)
+    assert DomainSpec(math.inf) == DomainSpec.polydisk()
+    assert DomainSpec(2.0) == DomainSpec.lt_ball(2)
+
+
+def test_polydisk_value_has_no_maximizer():
+    # the sup sits at |z_i| = r, so no n-tuple is built
+    assert powered_majorant_polydisk(family.extremal_g(10**6, 1.9), 1.9, 0.5).maximizer is None
+    f = family.explicit(2, {(1, 0): 0.5, (1, 1): 0.4})
+    assert powered_majorant_polydisk(f, 1.0, 0.5).maximizer is None

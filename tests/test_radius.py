@@ -14,6 +14,7 @@ from bohrlab.radius import (
     exact_h2_radius,
     h2_defining_residual,
     pluriharmonic_radius,
+    saturated_at_one,
     solve_bohr_radius,
 )
 from oracles import random_sparse_family
@@ -49,6 +50,26 @@ def test_every_saturated_result_has_the_checked_bracket():
     for res in results:
         assert res.method == "saturated_at_one" and res.value == 1.0, res
         assert res.bracket == (TOP_RADIUS, 1.0), res
+
+
+def test_massless_families_saturate_at_the_first_probe():
+    # no positive coefficient of degree >= 1 makes S = 0, so the root
+    # finder's probe at TOP_RADIUS is the one evaluation
+    massless = family.explicit(2, {(0, 0): 0.5, (1, 0): 0.0})
+    zero_tail = family.explicit(2, {}, tail=family.AnalyticTail(0.0))
+    pair = PluriharmonicFamily(holo=massless, anti=family.explicit(2, {}))
+    tailed_pair = PluriharmonicFamily(holo=massless, anti=zero_tail)
+    results = [
+        solve_bohr_radius(massless, 1.0, POLYDISK),
+        solve_bohr_radius(massless, 1.0, DomainSpec.lt_ball(2.0)),
+        solve_bohr_radius(zero_tail, 0.5, POLYDISK),
+        solve_bohr_radius(zero_tail, 0.5, DomainSpec.lt_ball(1.5)),
+        pluriharmonic_radius(pair, 1.0, math.inf),
+        pluriharmonic_radius(pair, 1.0, 2.0),
+        pluriharmonic_radius(tailed_pair, 1.0, math.inf),
+    ]
+    for res in results:
+        assert res == saturated_at_one(evaluations=1), res
 
 
 def test_solve_extremal_g_matches_closed_form():
@@ -322,7 +343,7 @@ def test_pluriharmonic_merge_overflow_is_a_parameter_error():
 @pytest.mark.parametrize("t", [math.inf, 2.0], ids=["polydisk", "ball"])
 def test_non_finite_p_is_refused(p, t):
     # S_p has no value at a non-finite p, so no radius may come out of it
-    domain = DomainSpec.from_t(t)
+    domain = DomainSpec(t)
     explicit = family.explicit(2, {(1, 0): 0.5, (2, 1): 0.7, (0, 3): 0.2})
     for f in [family.moebius(0.5), family.extremal_g(3, 1.0), explicit]:
         with pytest.raises(ParameterError, match="need p > 0 and finite"):
