@@ -12,6 +12,7 @@ from .radius import RadiusResult, bisect_unit_crossing, saturated_at_one
 
 SANDWICH_SLACK = 1e-12
 COEFFICIENT_SLACK = 1e-12
+_LOG2_UP = math.nextafter(math.log(2.0), math.inf)  # an upper bound on log 2, for _log_up
 # the numeric certificate's series sums at most this many terms
 CERTIFICATE_MAX_TERMS = 1_000_000
 
@@ -58,7 +59,7 @@ def _log_up(m):
     """An upper bound on log m, for an integer m >= 1 of any size."""
     shift = max(m.bit_length() - 53, 0)
     top = -(-m >> shift)  # ceil(m / 2^shift) <= 2^53, exact as a float
-    return _up(_up(math.log(top)) + _up(shift * _up(math.log(2.0))))
+    return _up(_up(math.log(top)) + _up(shift * _LOG2_UP))
 
 
 def certified_lower_bound(cert, mode="closed_form"):

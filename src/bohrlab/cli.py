@@ -72,7 +72,6 @@ _FAMILY = {
     "fn": Param("int", check=_ge_one),
     "fq": Param("float", check=_ge_one, allow_inf=True),
     "alpha": Param("intlist"),
-    "trunc": Param("int", default=family.MOEBIUS_TRUNCATION, check=_nonnegative),
 }
 
 _COMMON = {"config": Param("str")}

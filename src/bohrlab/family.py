@@ -21,8 +21,7 @@ TAIL_KIND = "geometric_uniform"
 
 def stable_half_root_gap(n):
     """1 - 2**(-1/n) without cancellation, via expm1."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    n = multiindex.checked_int("n", n, 1)
     return -math.expm1(-math.log(2.0) / n)
 
 
@@ -109,34 +108,34 @@ class CoefficientFamily:
 
 
 def explicit(dimension, entries, tail=None, label="explicit", certified=False):
-    trunc = max([sum(a) for a in entries], default=0)
+    degree = max([sum(a) for a in entries], default=0)
     return CoefficientFamily(
         dimension=dimension,
         entries=dict(entries),
-        truncation_degree=trunc,
+        truncation_degree=degree,
         tail=tail,
         label=label,
         sup_norm_certified=certified,
     )
 
 
-def moebius(a, truncation=MOEBIUS_TRUNCATION):
+def moebius(a):
     """Coefficient norms of the disk automorphism (a - z)/(1 - a z).
 
     c_0 = a and c_k = (1 - a^2) a^(k-1) for k >= 1, sup-norm 1 on the disk.
     The geometric tail model a^k overstates the true coefficients by the
-    constant (1 - a^2)/a, so the default truncation is deep enough that the
-    surplus is far below solver tolerance even for a near 1.
+    constant (1 - a^2)/a, so the entries run to MOEBIUS_TRUNCATION, deep
+    enough that the surplus is far below solver tolerance unless a is near 1.
     """
     if not 0.0 < a < 1.0:
         raise ParameterError(f"moebius needs a in (0,1), got {a}")
     entries = {(0,): a}
-    for k in range(1, truncation + 1):
+    for k in range(1, MOEBIUS_TRUNCATION + 1):
         entries[(k,)] = (1.0 - a * a) * a ** (k - 1)
     return CoefficientFamily(
         dimension=1,
         entries=entries,
-        truncation_degree=truncation,
+        truncation_degree=MOEBIUS_TRUNCATION,
         tail=AnalyticTail(parameter=a),
         label=f"moebius(a={a})",
         sup_norm_certified=True,
@@ -144,18 +143,18 @@ def moebius(a, truncation=MOEBIUS_TRUNCATION):
 
 
 def extremal_g(n, p):
-    """The uniform family with value v^k on every index of degree k >= 1.
+    """The uniform family with value v^k on every index of degree k >= 1:
+    a tail alone, with no entries, so it builds in O(1) at any n.
 
     v = sqrt(1 - 2^(-1/n)); its H^2 norm is exactly 1 and its powered
     majorant crosses 1 exactly at the closed-form radius for exponent p.
     """
     if not 0.0 < p < 2.0:
         raise ParameterError(f"extremal_g needs p in (0,2), got {p}")
-    multiindex.checked_int("n", n, 1)
-    v = math.sqrt(stable_half_root_gap(n))
+    v = math.sqrt(stable_half_root_gap(n))  # refuses an n that is not an integer >= 1
     return CoefficientFamily(
         dimension=n,
-        entries={(0,) * n: 0.0},
+        entries={},
         truncation_degree=0,
         tail=AnalyticTail(parameter=v),
         label=f"extremal_g(n={n}, p={p})",
@@ -224,7 +223,7 @@ class Preset:
 
 
 PRESETS = {
-    "moebius": Preset(("a",), lambda kw: moebius(kw["a"], kw.get("trunc", MOEBIUS_TRUNCATION))),
+    "moebius": Preset(("a",), lambda kw: moebius(kw["a"])),
     "extremal-g": Preset(("fn",), lambda kw: extremal_g(kw["fn"], kw["p"])),
     "linear-form": Preset(
         ("fn", "fq"), lambda kw: linear_form(kw["fn"], kw["fq"], kw.get("t", math.inf))

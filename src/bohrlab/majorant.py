@@ -85,7 +85,7 @@ class MajorantValue:
 
 
 def _tail_block(f, p, r):
-    """(closed-form tail sum over degrees k > truncation, its slope in log r),
+    """(closed-form tail sum over degrees k > truncation_degree, its slope in log r),
     polydisk semantics."""
     if f.tail is None:
         return 0.0, 0.0

@@ -41,7 +41,8 @@ CHUNK_BYTES = 1 << 20
 def validate(alpha):
     if len(alpha) < 1:
         raise ParameterError("multi-index must have at least one part")
-    if any((not isinstance(a, int)) or a < 0 for a in alpha):
+    # exactly int: a bool would pass isinstance, and to_json cannot write a numpy int
+    if any(type(a) is not int or a < 0 for a in alpha):
         raise ParameterError(f"multi-index parts must be nonnegative integers: {alpha}")
 
 

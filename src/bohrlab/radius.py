@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from . import family as fam
 from . import majorant as maj
+from . import multiindex
 from .errors import ParameterError, TailDivergenceError
 
 DEFAULT_TOL = 1e-10
@@ -155,8 +156,6 @@ def exact_h2_radius(n, p):
     """
     if not 0.0 < p < 2.0:
         raise ParameterError(f"exact H^2 radius is defined only for p in (0,2), got {p}")
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
     return fam.stable_half_root_gap(n) ** (1.0 / p - 0.5)
 
 
@@ -167,6 +166,7 @@ def h2_defining_residual(n, p, r):
     """
     if not 0.0 < p < 2.0:
         raise ParameterError(f"need p in (0,2), got {p}")
+    n = multiindex.checked_int("n", n, 1)
     if not 0.0 <= r < 1.0:
         raise ParameterError(f"need r in [0,1), got {r}")
     x = r ** (2.0 * p / (2.0 - p))

@@ -10,6 +10,7 @@ import pytest
 import bohrlab
 from bohrlab import family, majorant, radius
 from bohrlab.cli import (
+    _FAMILY,
     COMMANDS,
     EXIT_RANGE,
     EXIT_TYPE,
@@ -218,12 +219,26 @@ def test_coeff_check_command():
     assert json.loads(out)["result"]["ok"] is True
 
 
+def test_family_flags_are_the_preset_parameters_and_have_no_defaults():
+    # a family flag is echoed in the config only when it is given
+    needs = {key for preset in family.PRESETS.values() for key in preset.needs}
+    assert needs <= set(_FAMILY)
+    assert all(spec.default is None and not spec.required for spec in _FAMILY.values())
+
+
+def test_moebius_takes_no_truncation_flag(capsys):
+    argv = ["solve", "--p", "1", "--preset", "moebius", "--a", "0.3", "--trunc", "40"]
+    assert main(argv) == EXIT_UNKNOWN
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown key for solve: --trunc\n"
+    _, out = run_cli(argv[:-2])
+    assert set(json.loads(out)["config"]) == {"seed", "output", "a", "p", "preset", "t"}
+
+
 def test_coeff_check_reads_the_certificate_from_stdin_json():
-    doc = family.to_json(family.moebius(0.5, 3))
+    doc = family.to_json(family.moebius(0.5))
     code, from_stdin = run_cli(["coeff-check", "--t", "2"], stdin_text=doc)
-    _, from_preset = run_cli(
-        ["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5", "--trunc", "3"]
-    )
+    _, from_preset = run_cli(["coeff-check", "--t", "2", "--preset", "moebius", "--a", "0.5"])
     assert code == 0
     assert json.loads(from_stdin)["result"] == json.loads(from_preset)["result"]
 
@@ -306,8 +321,14 @@ def test_non_finite_family_entry_exits_4(capsys, value):
             ["solve", "--p", "1"],
             '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5], [[1], 0.9]]}',
         ),
+        (
+            ["solve", "--p", "1"],
+            '{"dimension": 2, "truncation_degree": 1, "entries": [[[true, 0], 0.5]]}',
+        ),
     ],
-    ids=["float-dimension", "float-truncation", "str-certified", "repeated-index"],
+    ids=[
+        "float-dimension", "float-truncation", "str-certified", "repeated-index", "bool-index-part"
+    ],
 )
 def test_non_integer_sizes_and_non_bool_flags_exit_4(capsys, argv, stdin_text):
     assert main(argv, stdin_text=stdin_text) == EXIT_RANGE

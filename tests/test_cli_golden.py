@@ -44,7 +44,7 @@ CASES = [
     (["solve", "--p", "1.5", "--preset", "extremal-g", "--fn", "10"], None),
     (["solve", "--p", "1", "--t", "2", "--preset", "linear-form", "--fn", "3", "--fq", "2"], None),
     (["solve", "--p", "1", "--t", "2", "--preset", "monomial", "--alpha", "2,1"], None),
-    (["solve", "--p", "1", "--preset", "moebius", "--a", "0.3", "--trunc", "40", "--tol", "1e-8"], None),
+    (["solve", "--p", "1", "--preset", "moebius", "--a", "0.3", "--tol", "1e-8"], None),
     (["solve", "--p", "1"], MOEBIUS_JSON),
     (["solve", "--p", "1", "--preset", "stdin"], MOEBIUS_JSON),
     # the other family commands, their generators and output forms

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,9 +7,9 @@ import pytest
 
 from bohrlab import bounds, family
 from bohrlab.errors import ParameterError
-from bohrlab.majorant import DomainSpec
-from bohrlab.multiindex import count
-from bohrlab.radius import solve_bohr_radius
+from bohrlab.majorant import DomainSpec, powered_majorant
+from bohrlab.multiindex import count, multinomial_weight
+from bohrlab.radius import exact_h2_radius, h2_defining_residual, solve_bohr_radius
 
 
 def test_stable_half_root_gap():
@@ -40,6 +41,26 @@ def test_extremal_g_structure():
     assert f.tail.parameter == pytest.approx(2**-0.5)
     for n, p in [(1, 1.0), (2, 1.0), (3, 0.5)]:
         assert family.h2_norm(family.extremal_g(n, p)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_extremal_g_is_its_tail_alone():
+    f = family.extremal_g(10**6, 1.9)
+    assert f.entries == {} and f.truncation_degree == 0
+    assert family.from_json(family.to_json(f)) == f
+
+
+@pytest.mark.parametrize("n", [1, 10, 10**3, 10**5])
+def test_extremal_g_values_match_the_family_with_a_zero_entry(n):
+    # extremal_g stored a zero entry at (0,)*n; a zero entry adds nothing
+    f = family.extremal_g(n, 1.3)
+    with_zero = dataclasses.replace(f, entries={(0,) * n: 0.0})
+    for p in (1.0, 1.3):  # a smaller p overflows at n = 10^5, zero entry or not
+        radius = exact_h2_radius(n, p)
+        for domain in (DomainSpec.polydisk(), DomainSpec.lt_ball(2)):
+            for r in (0.0, radius / 2, radius):
+                got = powered_majorant(f, p, domain, r)
+                assert got == powered_majorant(with_zero, p, domain, r)
+            assert solve_bohr_radius(f, p, domain) == solve_bohr_radius(with_zero, p, domain)
 
 
 def test_extremal_g_per_degree_closed_form():
@@ -167,6 +188,12 @@ REPEATED_INDEX = '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5
         lambda: family.linear_form(True, 2.0, 2.0),
         lambda: bounds.CertificateInput(2.5, 1.0, 2.0, 1.0),
         lambda: bounds.witness_upper_linear_form(2.5, 1.0, 2.0, 2.0),
+        lambda: family.CoefficientFamily(2, {(True, 0): 0.5}, 1),
+        lambda: multinomial_weight((True, 1)),
+        lambda: exact_h2_radius(2.5, 1.0),
+        lambda: exact_h2_radius(True, 1.0),
+        lambda: h2_defining_residual(2.5, 1.0, 0.3),
+        lambda: h2_defining_residual(True, 1.0, 0.3),
     ],
     ids=[
         "float-dimension",
@@ -181,6 +208,12 @@ REPEATED_INDEX = '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5
         "linear-form-bool",
         "certificate",
         "witness",
+        "bool-index-part",
+        "bool-index-part-weight",
+        "exact-h2",
+        "exact-h2-bool",
+        "h2-residual",
+        "h2-residual-bool",
     ],
 )
 def test_sizes_must_be_integers_and_flags_bools(make):

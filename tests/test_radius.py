@@ -237,6 +237,12 @@ def test_exact_h2_radius_values():
         exact_h2_radius(1, 2.5)
 
 
+def test_h2_closed_forms_take_numpy_integers():
+    assert family.stable_half_root_gap(np.int64(10)) == family.stable_half_root_gap(10)
+    assert exact_h2_radius(np.int64(10), 1.0) == exact_h2_radius(10, 1.0)
+    assert h2_defining_residual(np.int64(10), 1.0, 0.3) == h2_defining_residual(10, 1.0, 0.3)
+
+
 def test_solver_agrees_with_closed_form():
     for n in range(1, 11):
         for p in [0.5, 1.0, 1.5]:
