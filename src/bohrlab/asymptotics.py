@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import multiindex
 from .errors import ParameterError, SweepError
 from .radius import exact_h2_radius
 
@@ -29,9 +30,7 @@ class FitResult:
 
 def sweep(generator, n_list, label="", params=None):
     """One record per dimension; generator is a callable n -> positive value."""
-    ns = sorted(set(int(n) for n in n_list))
-    if any(n < 1 for n in ns):
-        raise ParameterError("dimensions must be >= 1")
+    ns = sorted(set(multiindex.checked_int("n", n, 1) for n in n_list))
     records = []
     for n in ns:
         try:

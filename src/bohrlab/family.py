@@ -53,8 +53,9 @@ class CoefficientFamily:
     sup_norm_certified: bool = False
 
     def __post_init__(self):
-        multiindex.checked_int("dimension", self.dimension, 1)
-        multiindex.checked_int("truncation_degree", self.truncation_degree, 0)
+        # the checked int is stored, so that a numpy integer size writes to JSON
+        for name, least in (("dimension", 1), ("truncation_degree", 0)):
+            object.__setattr__(self, name, multiindex.checked_int(name, getattr(self, name), least))
         if not isinstance(self.sup_norm_certified, bool):
             raise ParameterError(
                 f"sup_norm_certified must be a bool, got {self.sup_norm_certified!r}"
@@ -105,6 +106,18 @@ class CoefficientFamily:
             total -= term
             slope -= k * term
         return max(total, 0.0), max(slope, 0.0)
+
+    def powered_tail(self, p, r):
+        """(the tail's sum of ||x_alpha||^p r^(p|alpha|), its slope in log r):
+        the polydisk closed form; TailDivergenceError where it diverges."""
+        if self.tail is None:
+            return 0.0, 0.0
+        v = self.tail.parameter
+        s = (v * r) ** p
+        if s >= 1.0:
+            raise TailDivergenceError(f"tail diverges at p={p}, r={r} (parameter {v})")
+        block, s_slope = self.tail_block(s)
+        return block, p * s_slope  # ds/d(log r) = p s
 
 
 def explicit(dimension, entries, tail=None, label="explicit", certified=False):

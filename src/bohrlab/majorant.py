@@ -5,9 +5,13 @@ once: on the polydisk, where the sup separates (|z_i| = r termwise), the
 sums of ||x_alpha||^p per degree; on an l_t ball, where it is a posynomial
 maximization over the simplex u_i = |z_i|^t, sum u_i = r^t, a closed form
 or deterministic multistart updates.  Its evaluate(r) checks r, adds the
-tail and labels the value for both domains; the `powered_majorant*`
-functions are one evaluation each.  A value depends on (f, p, domain,
-seed, r) alone.
+family's `powered_tail` and labels the value for both domains; the
+`powered_majorant*` functions are one evaluation each.  A value depends on
+(f, p, domain, seed, r) alone.
+
+A family is read only through `dimension`, `powered_terms(p)`,
+`degree_power_sums(p)` and `powered_tail(p, r)`, which a `CoefficientFamily`
+and a pluriharmonic pair (terms |a_alpha|^p + |b_alpha|^p) both provide.
 
 The optimizer's plain update is the fixed-point map u <- T(u) = b w / sum(w)
 with w_i = u_i dF/du_i and b = r^t.  Where the terms use at most
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError, TailDivergenceError
+from .errors import ConvergenceError, ParameterError
 
 # The multistart ball optimizer: number of starts, update cap, and the
 # relative change below which `PATIENCE` updates in a row count as converged.
@@ -82,20 +86,6 @@ class MajorantValue:
     slope: float  # dS/d(log r)
     exactness: str  # "exact" | "optimizer"
     maximizer: tuple | None = None  # on the ball; None on the polydisk
-
-
-def _tail_block(f, p, r):
-    """(closed-form tail sum over degrees k > truncation_degree, its slope in log r),
-    polydisk semantics."""
-    if f.tail is None:
-        return 0.0, 0.0
-    s = (f.tail.parameter * r) ** p
-    if s >= 1.0:
-        raise TailDivergenceError(
-            f"tail diverges at p={p}, r={r} (parameter {f.tail.parameter})"
-        )
-    block, s_slope = f.tail_block(s)
-    return block, p * s_slope  # ds/d(log r) = p s
 
 
 def _polydisk_path(f, p):
@@ -429,11 +419,11 @@ def evaluator(f, p, domain, seed=0):
     """evaluate(r) -> the majorant over the domain of radius r; no
     evaluation starts from an earlier one.
 
-    A present tail is added by its polydisk closed form: exact on the
-    polydisk, an upper bound on the ball.  So a value is labelled exact on
-    the polydisk, and on the ball when it comes from a closed form or the
-    empty sum (r = 0 included) and the tail adds nothing at r; otherwise
-    it is labelled optimizer.
+    The family's `powered_tail(p, r)` is its tail's polydisk closed form:
+    exact on the polydisk, an upper bound on the ball.  So a value is
+    labelled exact on the polydisk, and on the ball when it comes from a
+    closed form or the empty sum (r = 0 included) and the tail adds nothing
+    at r; otherwise it is labelled optimizer.
     """
     if not 0.0 < p < math.inf:
         raise ParameterError(f"need p > 0 and finite, got {p}")
@@ -446,7 +436,7 @@ def evaluator(f, p, domain, seed=0):
     def evaluate(r):
         if not 0.0 <= r < 1.0:
             raise ParameterError(f"need r in [0,1), got {r}")
-        tail, tail_slope = _tail_block(f, p, r)
+        tail, tail_slope = f.powered_tail(p, r)
         value, slope, z = path(r)
         if slope is None:
             raise ConvergenceError(

@@ -1,6 +1,6 @@
 """Radius solvers: a safeguarded Newton root finder on the powered majorant,
 the exact H^2 closed form, its defining-equation residual, and the
-pluriharmonic radius via the per-index weight (|a|^p + |b|^p)^(1/p).
+pluriharmonic radius via the per-index weight |a|^p + |b|^p.
 
 The root finder works on g(y) = log S(e^y).  S is a positive sum of powers
 of r (on the ball, a supremum of such sums), so g is convex and increasing,
@@ -181,6 +181,9 @@ def h2_defining_residual(n, p, r):
 
 @dataclass(frozen=True)
 class PluriharmonicFamily:
+    """f = h + conj(g), with the norms |a_alpha| of h's coefficients in holo and
+    |b_alpha| of g's in anti: a family whose weight is |a_alpha|^p + |b_alpha|^p."""
+
     holo: fam.CoefficientFamily
     anti: fam.CoefficientFamily
 
@@ -191,44 +194,26 @@ class PluriharmonicFamily:
         if self.anti.entries.get(zero, 0.0) != 0.0:
             raise ParameterError("anti part must have zero constant term (g(0) = 0)")
 
+    dimension = property(lambda self: self.holo.dimension)
 
-def merged_weight_family(pf, p):
-    """Entries (|a_alpha|^p + |b_alpha|^p)^(1/p) over the union of indices.
+    def powered_terms(self, p):
+        """[(alpha, |a_alpha|^p + |b_alpha|^p)] over the indices where either
+        part has a term: holo's in its order, then those only anti has."""
+        weights = dict(self.holo.powered_terms(p))
+        for alpha, term in self.anti.powered_terms(p):
+            weights[alpha] = weights.get(alpha, 0.0) + term
+            if weights[alpha] == math.inf:
+                raise ParameterError(f"a summed weight's {p}-th power exceeds the float range")
+        return list(weights.items())
 
-    Requires a finite p > 0 and both parts tail-free; tails are handled by
-    the caller through the one-sided polydisk closed forms.
-    """
-    if not 0.0 < p < math.inf:
-        raise ParameterError(f"need p > 0 and finite, got {p}")
-    if pf.holo.tail is not None or pf.anti.tail is not None:
-        raise ParameterError("merged family needs tail-free parts")
-    keys = set(pf.holo.entries) | set(pf.anti.entries)
-    entries = {}
-    try:
-        for alpha in keys:
-            a = pf.holo.entries.get(alpha, 0.0)
-            b = pf.anti.entries.get(alpha, 0.0)
-            entries[alpha] = (a**p + b**p) ** (1.0 / p)
-    except OverflowError:
-        raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
-    return fam.explicit(pf.holo.dimension, entries, label="pluriharmonic merge")
+    degree_power_sums = fam.CoefficientFamily.degree_power_sums
+
+    def powered_tail(self, p, r):
+        """The two parts' tail sums and slopes, added."""
+        holo, anti = self.holo.powered_tail(p, r), self.anti.powered_tail(p, r)
+        return holo[0] + anti[0], holo[1] + anti[1]
 
 
 def pluriharmonic_radius(pf, p, t, tol=DEFAULT_TOL, seed=0):
     """Largest r with sup sum (|a|^p + |b|^p)|z^alpha|^p <= 1 over r B(l_t^n)."""
-    domain = maj.DomainSpec(t)
-    if not math.isinf(t):
-        anti_empty = pf.anti.tail is None and not any(
-            v > 0.0 for v in pf.anti.entries.values()
-        )
-        f = pf.holo if anti_empty else merged_weight_family(pf, p)
-        return solve_bohr_radius(f, p, domain, tol=tol, seed=seed)
-    # separable sup: the combined sum splits exactly into the two parts; an
-    # empty anti part adds 0.0, which leaves every sum as it is
-    parts = [maj.evaluator(part, p, domain) for part in (pf.holo, pf.anti)]
-
-    def evaluate(r):
-        holo, anti = (majorant(r) for majorant in parts)
-        return holo.value + anti.value, holo.slope + anti.slope
-
-    return bisect_unit_crossing(evaluate, tol=tol)
+    return solve_bohr_radius(pf, p, maj.DomainSpec(t), tol=tol, seed=seed)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import bounds, family
+from bohrlab import asymptotics, bounds, family
 from bohrlab.errors import ParameterError
 from bohrlab.majorant import DomainSpec, powered_majorant
 from bohrlab.multiindex import count, multinomial_weight
@@ -155,8 +155,17 @@ def test_h2_norm_simple():
 
 
 def test_json_round_trip():
-    for f in [family.moebius(0.37), family.extremal_g(3, 1.2), family.explicit(2, {(1, 1): 0.25})]:
+    for f in [
+        family.moebius(0.37),
+        family.extremal_g(3, 1.2),
+        family.explicit(2, {(1, 1): 0.25}),
+        # a numpy integer size is stored as the int it checks to
+        family.extremal_g(np.int64(10), 1.0),
+        family.linear_form(np.int64(3), 2.0, 2.0),
+        family.explicit(np.int64(2), {(1, 0): 0.5}),
+    ]:
         back = family.from_json(family.to_json(f))
+        assert type(f.dimension) is int and type(back.dimension) is int
         assert back.dimension == f.dimension
         assert back.entries == f.entries
         assert back.tail == f.tail
@@ -194,6 +203,8 @@ REPEATED_INDEX = '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5
         lambda: exact_h2_radius(True, 1.0),
         lambda: h2_defining_residual(2.5, 1.0, 0.3),
         lambda: h2_defining_residual(True, 1.0, 0.3),
+        lambda: asymptotics.sweep(lambda n: 1.0, [2.5]),
+        lambda: asymptotics.sweep(lambda n: 1.0, [True]),
     ],
     ids=[
         "float-dimension",
@@ -214,6 +225,8 @@ REPEATED_INDEX = '{"dimension": 1, "truncation_degree": 1, "entries": [[[1], 0.5
         "exact-h2-bool",
         "h2-residual",
         "h2-residual-bool",
+        "sweep",
+        "sweep-bool",
     ],
 )
 def test_sizes_must_be_integers_and_flags_bools(make):

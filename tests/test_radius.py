@@ -6,7 +6,12 @@ import pytest
 from bohrlab import family
 from bohrlab.bounds import CertificateInput, certified_lower_bound
 from bohrlab.errors import ParameterError, TailDivergenceError
-from bohrlab.majorant import DomainSpec, powered_majorant_ball, powered_majorant_polydisk
+from bohrlab.majorant import (
+    DomainSpec,
+    evaluator,
+    powered_majorant_ball,
+    powered_majorant_polydisk,
+)
 from bohrlab.radius import (
     TOP_RADIUS,
     PluriharmonicFamily,
@@ -313,7 +318,7 @@ def test_pluriharmonic_mass_shrinks_radius():
 def test_pluriharmonic_on_ball():
     g = family.explicit(2, {(1, 0): 1.0, (0, 1): 1.0})
     pf = PluriharmonicFamily(holo=g, anti=g)
-    # merged weight per index is 2^(1/p) = 2; radius solves 2 sqrt(2) r = 1
+    # summed weight per index is 1^p + 1^p = 2; radius solves 2 sqrt(2) r = 1
     res = pluriharmonic_radius(pf, 1.0, 2.0, tol=1e-11)
     assert res.value == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), abs=1e-9)
 
@@ -328,8 +333,8 @@ def test_pluriharmonic_validation():
 
 @pytest.mark.parametrize("p", [0.0, -1.0])
 def test_pluriharmonic_ball_refuses_nonpositive_p(p):
-    # the merged weight (|a|^p + |b|^p)^(1/p) has no value here: 1/p, or
-    # 0^p for the index the anti part lacks
+    # the summed weight |a|^p + |b|^p has no value here: 0^p for the
+    # index the anti part lacks
     holo = family.explicit(2, {(1, 0): 0.5, (0, 1): 0.3})
     pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 0): 0.25}))
     with pytest.raises(ParameterError, match="need p > 0"):
@@ -343,6 +348,11 @@ def test_pluriharmonic_merge_overflow_is_a_parameter_error():
     )
     with pytest.raises(ParameterError, match="exceeds the float range"):
         pluriharmonic_radius(pf, 2.0, 2.0)
+    # each part's weight is finite, their sum is not
+    big = family.explicit(2, {(1, 1): 1.3e154})
+    for t in [math.inf, 2.0]:
+        with pytest.raises(ParameterError, match="exceeds the float range"):
+            pluriharmonic_radius(PluriharmonicFamily(holo=big, anti=big), 2.0, t)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf], ids=["nan", "inf"])
@@ -360,19 +370,80 @@ def test_non_finite_p_is_refused(p, t):
 
 
 def test_polydisk_solves_take_the_degree_sums_once(monkeypatch):
-    # the evaluator compiles the sums once per solve, not once per evaluation
+    # the evaluator compiles the sums once per solve, not once per
+    # evaluation, and a pair compiles as one family
     calls = []
     degree_power_sums = family.CoefficientFamily.degree_power_sums
 
     def counting(self, p):
-        calls.append(p)
+        calls.append(type(self))
         return degree_power_sums(self, p)
 
-    monkeypatch.setattr(family.CoefficientFamily, "degree_power_sums", counting)
+    for cls in (family.CoefficientFamily, PluriharmonicFamily):
+        monkeypatch.setattr(cls, "degree_power_sums", counting)
     res = solve_bohr_radius(family.extremal_g(5, 1.0), 1.0, DomainSpec.polydisk())
-    assert res.evaluations > 2 and len(calls) == 1
+    assert res.evaluations > 2 and calls == [family.CoefficientFamily]
     calls.clear()
     holo = family.explicit(2, {(1, 0): 0.5, (1, 1): 0.4})
     pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(0, 1): 0.3}))
     res = pluriharmonic_radius(pf, 1.0, math.inf)
-    assert res.evaluations > 2 and len(calls) == 2
+    assert res.evaluations > 2 and calls == [PluriharmonicFamily]
+
+
+def test_tailed_pairs_solve_on_a_ball():
+    # the tails add their polydisk closed form, an upper bound on the ball
+    holo = family.explicit(2, {(1, 0): 0.9, (0, 1): 0.8}, tail=family.AnalyticTail(0.5))
+    pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 1): 0.6}))
+    res = pluriharmonic_radius(pf, 1.0, 2.0)
+    assert res.method == "bisection"
+    assert pluriharmonic_radius(pf, 1.0, math.inf).value < res.value < 1.0
+    crossing = evaluator(pf, 1.0, DomainSpec.lt_ball(2.0))(res.value).value
+    assert crossing == pytest.approx(1.0, abs=1e-9)
+    # with no explicit terms the ball adds the same tail as the polydisk
+    tails_only = PluriharmonicFamily(
+        holo=family.extremal_g(3, 1.0), anti=family.explicit(3, {}, tail=family.AnalyticTail(0.2))
+    )
+    ball = pluriharmonic_radius(tails_only, 1.0, 2.0)
+    assert ball.method == "bisection" and ball == pluriharmonic_radius(tails_only, 1.0, math.inf)
+
+
+def test_a_shared_index_keeps_the_am_gm_closed_form():
+    # one index in both parts is one term of weight 0.5 + 0.3, not two terms
+    pf = PluriharmonicFamily(
+        holo=family.explicit(2, {(1, 1): 0.5}), anti=family.explicit(2, {(1, 1): 0.3})
+    )
+    mv = evaluator(pf, 1.0, DomainSpec.lt_ball(2.0))(0.5)
+    # 0.8 r^2 at the maximizer |z_1|^2 = |z_2|^2 = r^2 / 2
+    assert mv.exactness == "exact" and mv.value == pytest.approx(0.1, rel=1e-15)
+
+
+def test_pairs_match_their_reference_paths():
+    # the polydisk reference adds the two parts' majorants; the ball
+    # reference solves the family of weights (|a|^p + |b|^p)^(1/p)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        n = int(rng.integers(1, 4))
+        holo = random_sparse_family(rng, n, 4, 4, lo=0.1, hi=1.5)
+        anti = random_sparse_family(rng, n, 4, 3, lo=0.05, hi=1.0)
+        p = float(rng.uniform(0.5, 1.9))
+        pf = PluriharmonicFamily(holo=holo, anti=anti)
+        parts = [evaluator(part, p, POLYDISK) for part in (holo, anti)]
+
+        def both(r):
+            h, a = (majorant(r) for majorant in parts)
+            return h.value + a.value, h.slope + a.slope
+
+        pair = pluriharmonic_radius(pf, p, math.inf).value
+        assert abs(pair - bisect_unit_crossing(both).value) <= 4 * math.ulp(pair)
+        keys = set(holo.entries) | set(anti.entries)
+        merged = family.explicit(
+            n,
+            {
+                a: (holo.entries.get(a, 0.0) ** p + anti.entries.get(a, 0.0) ** p) ** (1 / p)
+                for a in keys
+            },
+        )
+        ball = pluriharmonic_radius(pf, p, 2.0).value
+        assert ball == pytest.approx(
+            solve_bohr_radius(merged, p, DomainSpec.lt_ball(2.0)).value, abs=1e-12
+        )
