@@ -17,7 +17,6 @@ from .bounds import (
 from .family import (
     AnalyticTail,
     CoefficientFamily,
-    build,
     explicit,
     extremal_g,
     h2_norm,
@@ -59,7 +58,6 @@ __all__ = [
     "RadiusResult",
     "SweepRecord",
     "ball_certificate",
-    "build",
     "certified_lower_bound",
     "coefficient_bound_check",
     "count_and_bound",

@@ -2,7 +2,7 @@
 check n^(1/p-1/2) r(n) -> (ln 2)^(1/p-1/2) for the exact H^2 radius."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ from .radius import exact_h2_radius
 class SweepRecord:
     n: int
     value: float
-    generator: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -28,8 +26,9 @@ class FitResult:
     window: tuple
 
 
-def sweep(generator, n_list, label="", params=None):
-    """One record per dimension; generator is a callable n -> positive value."""
+def sweep(generator, n_list):
+    """One record per dimension, in increasing n; generator is a callable
+    n -> positive finite value."""
     ns = sorted(set(multiindex.checked_int("n", n, 1) for n in n_list))
     records = []
     for n in ns:
@@ -37,9 +36,9 @@ def sweep(generator, n_list, label="", params=None):
             value = float(generator(n))
         except Exception as exc:
             raise SweepError(f"generator failed at n={n}: {exc}", partial=records) from exc
-        if value <= 0.0:
-            raise SweepError(f"generator returned nonpositive value at n={n}", partial=records)
-        records.append(SweepRecord(n=n, value=value, generator=label, params=params or {}))
+        if not 0.0 < value < math.inf:
+            raise SweepError(f"generator returned {value} at n={n}", partial=records)
+        records.append(SweepRecord(n=n, value=value))
     return records
 
 
@@ -52,8 +51,8 @@ def fit_exponent(records, model="power"):
         raise ParameterError(f"need at least 3 records, got {len(records)}")
     ns = np.array([rec.n for rec in records], dtype=float)
     values = np.array([rec.value for rec in records], dtype=float)
-    if np.any(values <= 0.0):
-        raise ParameterError("all values must be positive")
+    if not np.all((values > 0.0) & (values < np.inf)):
+        raise ParameterError("all values must be positive and finite")
     if model == "power":
         x = np.log(ns)
     elif model == "log_power":

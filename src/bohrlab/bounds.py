@@ -2,7 +2,6 @@
 ball coefficient bound check, and two-sided sandwich consistency."""
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import multiindex
@@ -162,13 +161,5 @@ def coefficient_bound_check(f, t):
 
 
 def sandwich_check(lower, upper):
-    """True iff lower.value <= upper.value + slack; prints a diagnostic to
-    stderr if not."""
-    ok = lower.value <= upper.value + SANDWICH_SLACK
-    if not ok:
-        print(
-            "sandwich violation:"
-            f" lower={lower.to_dict()} upper={upper.to_dict()}",
-            file=sys.stderr,
-        )
-    return ok
+    """True iff lower.value <= upper.value + slack."""
+    return lower.value <= upper.value + SANDWICH_SLACK

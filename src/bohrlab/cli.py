@@ -8,7 +8,7 @@ Exit codes: 0 success, 1 computational failure, 2 unknown command or key,
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 from . import asymptotics, bounds, family, majorant, radius
 from .errors import BohrLabError, ParameterError
@@ -56,7 +56,8 @@ def _nonnegative(x):
     return x >= 0
 
 
-# specs that several commands share; _Q_2 and _C_1 are optional, default 2 and 1
+# specs that several commands or presets share; _Q_2 and _C_1 are optional,
+# default 2 and 1
 _N = Param("int", required=True, check=_ge_one)
 _P = Param("float", required=True, check=_positive)
 _P_H2 = Param("float", required=True, check=lambda x: 0 < x < 2)
@@ -65,13 +66,32 @@ _T = Param("float", default=math.inf, check=_ge_one, allow_inf=True)
 _R = Param("float", required=True, check=lambda x: 0 <= x < 1)
 _Q_2 = Param("float", default=2.0, check=_ge_one, allow_inf=True)
 _C_1 = Param("float", default=1.0, check=_nonnegative)
+_FN = Param("int", check=_ge_one)
 
+# each preset: the flags it reads, and a builder that takes them in one dict,
+# along with the exponent "p" (extremal-g) and the domain exponent "t"
+# (linear-form and monomial; default inf)
+_PRESETS = {
+    "moebius": (
+        {"a": Param("float", check=lambda x: 0 < x < 1)},
+        lambda kw: family.moebius(kw["a"]),
+    ),
+    "extremal-g": ({"fn": _FN}, lambda kw: family.extremal_g(kw["fn"], kw["p"])),
+    "linear-form": (
+        {"fn": _FN, "fq": Param("float", check=_ge_one, allow_inf=True)},
+        lambda kw: family.linear_form(kw["fn"], kw["fq"], kw.get("t", math.inf)),
+    ),
+    "monomial": (
+        {"alpha": Param("intlist")},
+        lambda kw: family.normalized_monomial(tuple(kw["alpha"]), kw.get("t", math.inf)),
+    ),
+}
+
+# --preset, then every preset's flags; none has a default, so a family flag
+# is echoed in the config only when it is given
 _FAMILY = {
-    "preset": Param("str", choices=(*family.PRESETS, "stdin")),
-    "a": Param("float", check=lambda x: 0 < x < 1),
-    "fn": Param("int", check=_ge_one),
-    "fq": Param("float", check=_ge_one, allow_inf=True),
-    "alpha": Param("intlist"),
+    "preset": Param("str", choices=(*_PRESETS, "stdin")),
+    **{key: spec for flags, _ in _PRESETS.values() for key, spec in flags.items()},
 }
 
 _COMMON = {"config": Param("str")}
@@ -184,6 +204,16 @@ def parse_config(argv):
         elif spec.default is not None:
             resolved[key] = spec.default
 
+    # a family flag the chosen preset does not read is refused, as is any
+    # family flag beside a family on stdin
+    if "preset" in specs:
+        name = resolved.get("preset", "stdin")
+        taken = _PRESETS[name][0] if name in _PRESETS else {}
+        unused = [k for k in _FAMILY if k != "preset" and k in resolved and k not in taken]
+        if unused:
+            owner = "a family on stdin" if name == "stdin" else f"preset {name}"
+            raise UsageError(EXIT_UNKNOWN, f"{owner} takes no --{unused[0]}")
+
     return RunConfig(command=command, params=resolved)
 
 
@@ -204,6 +234,8 @@ def _fmt(value):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     if isinstance(value, dict):
         return "{" + ", ".join(f'"{k}": {_fmt(v)}' for k, v in value.items()) + "}"
+    if is_dataclass(value):
+        return _fmt(vars(value))  # its fields, in order
     raise TypeError(f"cannot serialize {type(value)}")
 
 
@@ -212,8 +244,6 @@ def emit_json(doc):
 
 
 def _csv_num(value):
-    if value is None:
-        return ""
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
@@ -221,21 +251,11 @@ def _csv_num(value):
     return str(value)
 
 
-def emit_sweep_csv(records):
+def emit_sweep_csv(records, prm):
+    """One row per record; the generator, p, q and t columns repeat the config."""
+    config = ",".join([prm["generator"], *(_csv_num(prm[key]) for key in ("p", "q", "t"))])
     lines = [CSV_HEADER, "n,value,generator,p,q,t"]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.n),
-                    _csv_num(rec.value),
-                    rec.generator,
-                    _csv_num(rec.params.get("p")),
-                    _csv_num(rec.params.get("q")),
-                    _csv_num(rec.params.get("t")),
-                ]
-            )
-        )
+    lines += [f"{rec.n},{_csv_num(rec.value)},{config}" for rec in records]
     return "\n".join(lines) + "\n"
 
 
@@ -258,11 +278,11 @@ def _family(prm, stdin_text):
         return _stdin_json(
             stdin_text, "no --preset given and no family JSON on stdin", family.from_json
         )
-    preset = family.PRESETS[name]
-    if any(key not in prm for key in preset.needs):
-        flags = " and ".join(f"--{key}" for key in preset.needs)
-        raise UsageError(EXIT_TYPE, f"preset {name} needs {flags}")
-    return preset.make(prm)
+    flags, make = _PRESETS[name]
+    if any(key not in prm for key in flags):
+        needs = " and ".join(f"--{key}" for key in flags)
+        raise UsageError(EXIT_TYPE, f"preset {name} needs {needs}")
+    return make(prm)
 
 
 def _holo_anti(text):
@@ -304,9 +324,7 @@ _SWEEP = {
 
 
 def _records(prm):
-    gen = _GENERATORS[prm["generator"]](prm)
-    gen_params = {k: prm[k] for k in ("p", "q", "t")}
-    return asymptotics.sweep(gen, prm["n-list"], label=prm["generator"], params=gen_params)
+    return asymptotics.sweep(_GENERATORS[prm["generator"]](prm), prm["n-list"])
 
 
 @dataclass(frozen=True)
@@ -348,11 +366,10 @@ def _solve(config, stdin_text):
     f = _family(prm, stdin_text)
     domain = majorant.DomainSpec(prm["t"])
     tol = prm.get("tol", radius.DEFAULT_TOL)
-    res = radius.solve_bohr_radius(f, prm["p"], domain, tol=tol, seed=prm["seed"])
-    return res.to_dict()
+    return radius.solve_bohr_radius(f, prm["p"], domain, tol=tol, seed=prm["seed"])
 
 
-@_command("pluri", "pluriharmonic radius with doubled coefficient weights", **_SOLVE)
+@_command("pluri", "pluriharmonic radius with weights |a_alpha|^p + |b_alpha|^p", **_SOLVE)
 def _pluri(config, stdin_text):
     prm = config.params
     if prm.get("preset", "stdin") != "stdin":
@@ -362,8 +379,7 @@ def _pluri(config, stdin_text):
         holo, anti = _stdin_json(stdin_text, "pluri needs a preset or stdin JSON", _holo_anti)
     pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
     tol = prm.get("tol", radius.DEFAULT_TOL)
-    res = radius.pluriharmonic_radius(pf, prm["p"], prm["t"], tol=tol, seed=prm["seed"])
-    return res.to_dict()
+    return radius.pluriharmonic_radius(pf, prm["p"], prm["t"], tol=tol, seed=prm["seed"])
 
 
 @_command(
@@ -378,13 +394,13 @@ def _pluri(config, stdin_text):
 def _certify(config, stdin_text):
     prm = config.params
     cert = bounds.CertificateInput(n=prm["n"], p=prm["p"], q=prm["q"], C=prm["C"])
-    return bounds.certified_lower_bound(cert, mode=prm["mode"]).to_dict()
+    return bounds.certified_lower_bound(cert, mode=prm["mode"])
 
 
 @_command("witness", "linear-form witness upper bound on the class radius", n=_N, p=_P, q=_Q, t=_T)
 def _witness(config, stdin_text):
     prm = config.params
-    return bounds.witness_upper_linear_form(prm["n"], prm["p"], prm["q"], prm["t"]).to_dict()
+    return bounds.witness_upper_linear_form(prm["n"], prm["p"], prm["q"], prm["t"])
 
 
 @_command(
@@ -413,12 +429,18 @@ def _sandwich(config, stdin_text):
         value=upper_value, method="closed_form", residual=0.0,
         bracket=(upper_value, upper_value),
     )
+    # the first lower bound above the upper one, if any, is reported on stderr
+    failed = next(
+        (lower for lower in (lower_cf, lower_num) if not bounds.sandwich_check(lower, upper)),
+        None,
+    )
+    if failed is not None:
+        print(f"sandwich violation: lower={_fmt(failed)} upper={_fmt(upper)}", file=sys.stderr)
     return {
-        "lower_closed_form": lower_cf.to_dict(),
-        "lower_numeric": lower_num.to_dict(),
-        "upper": upper.to_dict(),
-        "ok": bounds.sandwich_check(lower_cf, upper)
-        and bounds.sandwich_check(lower_num, upper),
+        "lower_closed_form": lower_cf,
+        "lower_numeric": lower_num,
+        "upper": upper,
+        "ok": failed is None,
     }
 
 
@@ -451,7 +473,7 @@ def _maximize_ball(config, stdin_text):
 def _sweep(config, stdin_text):
     records = _records(config.params)
     if config.params["output"] == "csv":
-        return emit_sweep_csv(records)
+        return emit_sweep_csv(records, config.params)
     return {"records": [[rec.n, rec.value] for rec in records]}
 
 
@@ -464,14 +486,7 @@ def _sweep(config, stdin_text):
 def _fit(config, stdin_text):
     records = _records(config.params)
     fit = asymptotics.fit_exponent(records, model=config.params["model"])
-    return {
-        "exponent": fit.exponent,
-        "constant": fit.constant,
-        "model": fit.model,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "records": [[rec.n, rec.value] for rec in records],
-    }
+    return {**vars(fit), "records": [[rec.n, rec.value] for rec in records]}
 
 
 @_command("limit-check", "limit-constant check for the H^2 radius", n=_N, p=_P_H2)

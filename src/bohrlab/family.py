@@ -225,38 +225,6 @@ def normalized_monomial(alpha, t):
     )
 
 
-@dataclass(frozen=True)
-class Preset:
-    """A named family: the parameters a caller must give, and a builder that
-    takes them in one dict, along with the exponent "p" (extremal-g) and the
-    domain exponent "t" (linear-form and monomial; default inf)."""
-
-    needs: tuple
-    make: object  # params dict -> CoefficientFamily
-
-
-PRESETS = {
-    "moebius": Preset(("a",), lambda kw: moebius(kw["a"])),
-    "extremal-g": Preset(("fn",), lambda kw: extremal_g(kw["fn"], kw["p"])),
-    "linear-form": Preset(
-        ("fn", "fq"), lambda kw: linear_form(kw["fn"], kw["fq"], kw.get("t", math.inf))
-    ),
-    "monomial": Preset(
-        ("alpha",), lambda kw: normalized_monomial(tuple(kw["alpha"]), kw.get("t", math.inf))
-    ),
-}
-
-
-def build(preset, **params):
-    """Construct the named preset; see PRESETS for the parameters each takes."""
-    if preset not in PRESETS:
-        raise ParameterError(f"unknown preset: {preset}")
-    try:
-        return PRESETS[preset].make(params)
-    except KeyError as exc:  # the builders read only their parameters by key
-        raise ParameterError(f"preset {preset} needs {exc.args[0]}") from None
-
-
 def rescale(f, sigma):
     """The family with entry sigma^alpha * ||x_alpha|| at each alpha.
 

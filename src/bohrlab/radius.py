@@ -33,15 +33,6 @@ class RadiusResult:
     bracket: tuple
     evaluations: int = 0
 
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "method": self.method,
-            "residual": self.residual,
-            "bracket": list(self.bracket),
-            "evaluations": self.evaluations,
-        }
-
 
 def saturated_at_one(evaluations=0):
     """The radius 1, for an S with S(TOP_RADIUS) <= 1: TOP_RADIUS is the

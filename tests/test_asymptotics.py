@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,21 @@ def test_sweep_failure_carries_partial():
     with pytest.raises(SweepError) as err:
         sweep(gen, [5, 10, 20])
     assert len(err.value.partial) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sweep_refuses_a_non_finite_value(bad):
+    with pytest.raises(SweepError) as err:
+        sweep(lambda n: bad if n == 3 else 1.0 / n, [1, 2, 3, 4])
+    assert [(rec.n, rec.value) for rec in err.value.partial] == [(1, 1.0), (2, 0.5)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_refuses_a_non_finite_value(bad):
+    records = sweep(lambda n: 1.0 / n, [10, 100, 1000])
+    records[1] = dataclasses.replace(records[1], value=bad)
+    with pytest.raises(ParameterError, match="positive and finite"):
+        fit_exponent(records)
 
 
 def test_fit_recovers_synthetic_power_law():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import bohrlab
-from bohrlab import family, majorant, radius
+from bohrlab import bounds, family, majorant, radius
 from bohrlab.cli import (
     _FAMILY,
+    _PRESETS,
     COMMANDS,
     EXIT_RANGE,
     EXIT_TYPE,
@@ -129,7 +131,7 @@ def test_pluri_honours_seed_on_ball():
     holo = family.explicit(2, {(0, 3): 1.19, (2, 2): 1.39, (3, 2): 0.85})
     anti = family.explicit(2, {(2, 0): 0.37, (3, 2): 1.22})
     pf = radius.PluriharmonicFamily(holo=holo, anti=anti)
-    want = radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=1).to_dict()
+    want = radius.pluriharmonic_radius(pf, 1.0, 2.0, seed=1)
     payload = json.dumps(
         {
             "holo": json.loads(family.to_json(holo)),
@@ -138,7 +140,11 @@ def test_pluri_honours_seed_on_ball():
     )
     code, out = run_cli(["pluri", "--p", "1", "--t", "2", "--seed", "1"], stdin_text=payload)
     assert code == 0
-    assert json.loads(out)["result"] == want
+    got = json.loads(out)["result"]
+    assert list(got) == ["value", "method", "residual", "bracket", "evaluations"]
+    assert got["value"] == want.value and got["method"] == want.method
+    assert got["residual"] == want.residual and got["evaluations"] == want.evaluations
+    assert tuple(got["bracket"]) == want.bracket
 
 
 BALL_JSON = family.to_json(family.explicit(2, {(1, 0): 0.4, (1, 1): 0.8}))
@@ -220,10 +226,72 @@ def test_coeff_check_command():
 
 
 def test_family_flags_are_the_preset_parameters_and_have_no_defaults():
+    # --preset, then each preset's flags in table order; the parse errors
+    # and the config echo follow this order
+    assert list(_FAMILY) == ["preset", "a", "fn", "fq", "alpha"]
+    assert _FAMILY["preset"].choices == (*_PRESETS, "stdin")
+    for flags, _ in _PRESETS.values():
+        assert all(_FAMILY[key] == spec for key, spec in flags.items())
     # a family flag is echoed in the config only when it is given
-    needs = {key for preset in family.PRESETS.values() for key in preset.needs}
-    assert needs <= set(_FAMILY)
     assert all(spec.default is None and not spec.required for spec in _FAMILY.values())
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text, message",
+    [
+        (
+            ["solve", "--p", "1", "--preset", "linear-form", "--fn", "3", "--fq", "2", "--a", "0.5"],
+            None,
+            "preset linear-form takes no --a",
+        ),
+        (
+            ["maximize-ball", "--p", "1", "--t", "2", "--r", "0.5", "--preset", "moebius",
+             "--a", "0.5", "--alpha", "1,1"],
+            None,
+            "preset moebius takes no --alpha",
+        ),
+        # an unused flag comes before a missing one
+        (["coeff-check", "--t", "2", "--preset", "moebius", "--fn", "3"], None,
+         "preset moebius takes no --fn"),
+        (["solve", "--p", "1", "--a", "0.5"], family.to_json(family.moebius(0.5)),
+         "a family on stdin takes no --a"),
+        (["pluri", "--p", "1", "--preset", "stdin", "--fq", "2"], PLURI_BALL_JSON,
+         "a family on stdin takes no --fq"),
+    ],
+    ids=["solve", "maximize-ball", "before-needs", "stdin", "pluri-stdin"],
+)
+def test_family_flags_the_family_does_not_read_are_refused(capsys, argv, stdin_text, message):
+    # the rule --seed and --output follow: exit 2, empty stdout, one error line
+    assert main(argv, stdin_text=stdin_text) == EXIT_UNKNOWN
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_family_flags_from_a_config_file_are_refused_alike(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("preset=monomial\nalpha=1,1\nfn=3\n")
+    with pytest.raises(UsageError) as err:
+        parse_config(["solve", "--p", "1", "--config", str(path)])
+    assert err.value.code == EXIT_UNKNOWN and str(err.value) == "preset monomial takes no --fn"
+
+
+def test_sandwich_violation_is_reported_once_on_stderr(monkeypatch, capsys):
+    real = bounds.certified_lower_bound
+
+    def too_high(cert, mode="closed_form"):  # both lower bounds above the exact radius
+        res = real(cert, mode=mode)
+        return dataclasses.replace(res, value=res.value + 0.5)
+
+    monkeypatch.setattr(bounds, "certified_lower_bound", too_high)
+    assert main(["sandwich", "--n", "10", "--p", "1"]) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)["result"]
+    assert doc["ok"] is False
+    # one line, for the first failing pair only: the closed form's
+    assert err.count("\n") == 1 and err.startswith("sandwich violation: lower=")
+    lower, upper = err.removeprefix("sandwich violation: lower=").split(" upper=")
+    assert json.loads(lower) == doc["lower_closed_form"]
+    assert json.loads(upper) == doc["upper"]
 
 
 def test_moebius_takes_no_truncation_flag(capsys):

@@ -106,31 +106,6 @@ def test_rescale_damps_h2_norm():
         assert family.h2_norm(family.rescale(f, sigma)) <= family.h2_norm(f) + 1e-12
 
 
-def test_build_deterministic():
-    a = family.build("moebius", a=0.3)
-    b = family.build("moebius", a=0.3)
-    assert a.entries == b.entries and a.tail == b.tail
-
-
-def test_build_missing_parameter_is_a_parameter_error():
-    for preset, params in [
-        ("moebius", {}),
-        ("extremal-g", {"fn": 10}),
-        ("linear-form", {"fn": 3}),
-        ("monomial", {}),
-    ]:
-        with pytest.raises(ParameterError):
-            family.build(preset, **params)
-
-
-def test_build_moebius_uses_moebius_truncation():
-    a = 0.9
-    built = family.build("moebius", a=a)
-    assert built.entries == family.moebius(a).entries and built.tail == family.moebius(a).tail
-    res = solve_bohr_radius(built, 1.0, DomainSpec.polydisk())
-    assert res.value == pytest.approx(1.0 / (1.0 + a - a * a), abs=1e-10)
-
-
 def test_degree_power_sums_unchanged():
     def reference(f, p):
         sums = {}
