@@ -28,12 +28,17 @@ class FitResult:
 
 def sweep(generator, n_list):
     """One record per dimension, in increasing n; generator is a callable
-    n -> positive finite value."""
+    n -> positive finite value.  A `ParameterError` from the generator
+    passes through as it is; any other exception, and a value that is not
+    positive and finite, ends the sweep in a `SweepError` that carries the
+    records made before it."""
     ns = sorted(set(multiindex.checked_int("n", n, 1) for n in n_list))
     records = []
     for n in ns:
         try:
             value = float(generator(n))
+        except ParameterError:
+            raise
         except Exception as exc:
             raise SweepError(f"generator failed at n={n}: {exc}", partial=records) from exc
         if not 0.0 < value < math.inf:

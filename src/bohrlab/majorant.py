@@ -29,7 +29,12 @@ starts advance together as the rows of one array.  A row stops after
 `PATIENCE` updates in a row within `REL_TOL`, and, where Newton points
 are tried, also after `STILL` updates in a row that each move its value
 by at most `STILL_ULPS` ulps; rows at face optima stop by this rule as
-well.
+well.  A row that stops has its iterate and value recorded at that update
+and stays in the array, so every product has `N_STARTS` rows.
+
+On the ball the evaluator also gives the solver its start: the smallest
+radius where one term's AM-GM maximum reaches 1 (`_amgm_crossing`).
+S >= 1 there, so S crosses 1 at or below it.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
@@ -167,13 +172,30 @@ def _start_directions(n, alphas, coeffs, seed, n_starts):
     return np.array(points[:n_starts])
 
 
+def _amgm_crossing(alphas, coeffs, p, t):
+    """The smallest r at which one term's AM-GM maximum over the l_t ball
+    of radius r, c r^(pk) prod_i (alpha_i / k)^(p alpha_i / t) with
+    k = |alpha|, reaches 1; no term exceeds the sup, so S >= 1 there.  inf
+    where no such r lies in (0, 1) as a float: without terms, and where
+    every term's crossing is at or beyond 1 or the smallest one underflows."""
+    if len(coeffs) == 0:
+        return math.inf
+    degrees = alphas.sum(axis=1)
+    # alpha_i log(alpha_i / k), 0 at alpha_i = 0
+    entropy = (alphas * np.log(np.maximum(alphas, 1.0) / degrees[:, None])).sum(axis=1)
+    log_r = float((-(np.log(coeffs) + (p / t) * entropy) / (p * degrees)).min())
+    r = math.exp(min(log_r, 0.0))
+    return r if 0.0 < r < 1.0 else math.inf
+
+
 def _ball_path(f, p, t, seed):
-    """(path, optimizes): path(r) -> (value, slope, maximizer) of the
-    explicit terms over the l_t ball of radius r, and whether path(r) runs
-    the optimizer at r > 0.  Closed forms cover single monomials and pure
-    degree-1 families; the rest runs the multistart optimizer, all starts
-    in one batch.  Where no start converges, the slope is None and the
-    maximizer the best point found, or None."""
+    """(path, optimizes, start): path(r) -> (value, slope, maximizer) of
+    the explicit terms over the l_t ball of radius r, whether path(r) runs
+    the optimizer at r > 0, and the terms' `_amgm_crossing`.  Closed forms
+    cover single monomials and pure degree-1 families; the rest runs the
+    multistart optimizer, all starts in one batch.  Where no start
+    converges, the slope is None and the maximizer the best point found,
+    or None."""
     alphas, coeffs = _terms(f, p)
     n = f.dimension
     degrees = alphas.sum(axis=1)
@@ -201,7 +223,7 @@ def _ball_path(f, p, t, seed):
         # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
         return value, p * float(terms @ degrees), tuple(float(ui) ** (1.0 / t) for ui in u)
 
-    return path, maximize is not None
+    return path, maximize is not None, _amgm_crossing(alphas, coeffs, p, t)
 
 
 def _simplex_maximizer(alphas, coeffs, s, seed):
@@ -217,8 +239,10 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
     on a face, the step is retaken on that face (see `newton_points`).
     Where more than `NEWTON_MAX_DIM` coordinates are used, every update is
     plain and only the `PATIENCE` rule stops a row.  The starts advance
-    together as the rows of one array; a row leaves at the update where
-    its own run would stop, and its last iterate and value are kept.
+    together as the rows of one array.  A row finishes at the update where
+    its own run would stop, and its iterate and value there are recorded;
+    it stays in every later product, retired by a mask, so that each
+    product has `N_STARTS` rows and a value is a pure function of budget.
     """
     n = alphas.shape[1]
     exponents = alphas * s  # E, shape (terms, n)
@@ -332,39 +356,34 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         final_u = np.empty_like(u)
         final_value = np.empty(len(u))
         converged = np.zeros(len(u), dtype=bool)
-        rows = np.arange(len(u))
+        going = np.ones(len(u), dtype=bool)  # rows not yet finished
         calm = np.zeros(len(u), dtype=int)
         still = np.zeros(len(u), dtype=int)
-        done = np.zeros(len(u), dtype=bool)
+
+        def finish(rows):
+            final_u[rows] = u[rows]
+            final_value[rows] = cur[rows]
+            going[rows] = False
+
         # a Newton or face point that leaves the simplex has nan logs and
         # values, and is refused; a row whose values overflow stops
         # unconverged, so the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cur, mono = objective(u)
             for update in range(MAX_ITER + 1):
-                # w_i = u_i * dF/du_i, per row, taken over the rows the last
-                # update did not finish: a product over more rows can round
-                # differently
-                finished = done.any()
-                w = (mono[~done] if finished else mono) @ exponents
+                # w_i = u_i * dF/du_i.  Finished rows stay in every product,
+                # whose row count is then fixed, and their later iterates
+                # are not read
+                w = mono @ exponents
                 total_w = w.sum(axis=1)
-                if finished or not total_w.min() > 0.0 or update == MAX_ITER:
-                    # the one exit, each row with its last iterate: converged
-                    # when the last update finished it; unconverged when its
-                    # weights vanished or turned nan (after an overflow), or
-                    # once MAX_ITER updates are spent
-                    weighted = total_w > 0.0
-                    going = ~done
-                    going[going] = weighted if update < MAX_ITER else False
-                    converged[rows[done]] = True
-                    final_u[rows[~going]] = u[~going]
-                    final_value[rows[~going]] = cur[~going]
-                    rows, u, mono, cur, calm, still = (
-                        a[going] for a in (rows, u, mono, cur, calm, still)
-                    )
-                    if rows.size == 0:
+                if not total_w.min() > 0.0 or update == MAX_ITER:
+                    # a row stops unconverged when its weights vanish or
+                    # turn nan (after an overflow), or once MAX_ITER updates
+                    # are spent
+                    stop = going & ~(total_w > 0.0) if update < MAX_ITER else going
+                    finish(stop)
+                    if not going.any():
                         break
-                    w, total_w = w[weighted], total_w[weighted]
                 plain = budget * w / total_w[:, None]
                 prev = cur
                 step = newton_points(u, mono, w, total_w, plain, budget) if newton else None
@@ -372,15 +391,15 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                     u = plain
                     cur, mono = objective(u)
                 else:
-                    # both candidates of every row in one pass; row i of
-                    # `both` is its plain point, row k + i its Newton point
+                    # both candidates of every row in one pass: row i is
+                    # its plain point, row k + i its Newton point
                     usable, points = step
-                    both = np.concatenate((plain, points))
-                    values, monos = objective(both)
+                    values, monos = objective(np.concatenate((plain, points)))
                     k = len(plain)
-                    pick = np.arange(k)
-                    pick += k * (usable & (values[k:] >= values[:k]))
-                    u, cur, mono = both[pick], values[pick], monos[pick]
+                    take = usable & (values[k:] >= values[:k])
+                    u = np.where(take[:, None], points, plain)
+                    cur = np.where(take, values[k:], values[:k])
+                    mono = np.where(take[:, None], monos[k:], monos[:k])
                 # objectives are nonnegative, so |cur| needs no abs
                 moved = np.abs(cur - prev)
                 calm_now = moved <= REL_TOL * np.maximum(cur, 1.0)
@@ -389,12 +408,17 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                     # a move within STILL_ULPS ulps is also within REL_TOL,
                     # so no row is still, nor done, either
                     still = calm
-                    done = calm_now
                     continue
                 done = calm >= PATIENCE
                 if newton:
                     still = (still + 1) * (moved <= STILL_ULPS * np.spacing(cur))
                     done |= still >= STILL
+                done &= going
+                if done.any():
+                    converged |= done
+                    finish(done)
+                    if not going.any():
+                        break
 
         # pick in start order: a larger value wins, a tie goes to the
         # lexicographically larger point
@@ -417,7 +441,10 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
 
 def evaluator(f, p, domain, seed=0):
     """evaluate(r) -> the majorant over the domain of radius r; no
-    evaluation starts from an earlier one.
+    evaluation starts from an earlier one.  `evaluate.start` is a radius
+    in (0, 1) where S >= 1 is known without evaluating: on the ball the
+    largest single-term AM-GM crossing (`_amgm_crossing`); inf where none
+    is known, on the polydisk and without explicit terms.
 
     The family's `powered_tail(p, r)` is its tail's polydisk closed form:
     exact on the polydisk, an upper bound on the ball.  So a value is
@@ -429,9 +456,9 @@ def evaluator(f, p, domain, seed=0):
         raise ParameterError(f"need p > 0 and finite, got {p}")
     polydisk = math.isinf(domain.t)
     if polydisk:
-        path, optimizes = _polydisk_path(f, p), False
+        path, optimizes, start = _polydisk_path(f, p), False, math.inf
     else:
-        path, optimizes = _ball_path(f, p, domain.t, seed)
+        path, optimizes, start = _ball_path(f, p, domain.t, seed)
 
     def evaluate(r):
         if not 0.0 <= r < 1.0:
@@ -447,6 +474,7 @@ def evaluator(f, p, domain, seed=0):
         exact = (not optimizes or r == 0.0) and (polydisk or tail == 0.0)
         return MajorantValue(value + tail, slope + tail_slope, "exact" if exact else "optimizer", z)
 
+    evaluate.start = start
     return evaluate
 
 

@@ -5,9 +5,11 @@ pluriharmonic radius via the per-index weight |a|^p + |b|^p.
 The root finder works on g(y) = log S(e^y).  S is a positive sum of powers
 of r (on the ball, a supremum of such sums), so g is convex and increasing,
 and Newton steps taken from the right end of the bracket fall monotonically
-onto the crossing.  The bracket S(lo) <= 1 < S(hi) is kept throughout and
-closed by one probe on the far side of the converged Newton point; the
-loop stops at a width relative to the radius.
+onto the crossing.  That right end is a start where S >= 1 is known: on the
+ball, the smallest radius where one term's AM-GM maximum reaches 1, and
+TOP_RADIUS elsewhere.  The bracket S(lo) <= 1 < S(hi) is kept throughout,
+with both ends evaluated, and closed by one probe on the far side of the
+converged Newton point; the loop stops at a width relative to the radius.
 """
 
 import math
@@ -40,7 +42,7 @@ def saturated_at_one(evaluations=0):
     return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), evaluations)
 
 
-def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
+def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
     """Largest r in [0,1] with S(r) <= 1, for a nondecreasing S with
     evaluate(r) = (S(r), dS/d(log r)).
 
@@ -49,14 +51,21 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
     TailDivergenceError or return a non-finite S; both count as a value
     above 1.
 
-    The iteration starts at TOP_RADIUS and takes Newton steps on
-    log S = 0 in log r, from the point evaluated last:
-    r <- r exp(-log S / (slope / S)).  On a majorant, log S is convex in
-    log r, so from the right end every Newton point stays right of the
-    crossing and hi falls monotonically onto it.  The bracket keeps
-    S(lo) <= 1 < S(hi).  A step is the midpoint of the bracket instead when
-    S or the slope at the last point is not finite, or when the Newton
-    point is not strictly inside (lo, hi).
+    The iteration starts at `start`, a radius in (0, TOP_RADIUS] that the
+    caller knows to have S >= 1 (a lower bound on S reaches 1 there), or
+    TOP_RADIUS, and takes Newton steps on log S = 0 in log r, from the
+    point evaluated last: r <- r exp(-log S / (slope / S)).  On a
+    majorant, log S is convex in log r, so from the right end every Newton
+    point stays right of the crossing and hi falls monotonically onto it.
+    The bracket keeps S(lo) <= 1 < S(hi), and both of its ends are
+    evaluated points (lo = 0 aside).  A step is the midpoint of the bracket
+    instead when S or the slope at the last point is not finite, or when
+    the Newton point is not strictly inside (lo, hi).
+
+    Where S(start) <= 1 after all (the bound is attained there, and
+    rounding put S on or below 1), start is lo, and TOP_RADIUS stays hi
+    unevaluated until the steps close the bracket on it.  Only S(TOP_RADIUS)
+    <= 1, evaluated, gives `saturated_at_one`.
 
     Once the Newton point is within half the target width of the last
     point, one probe a quarter width beyond it, on the far side of the
@@ -65,7 +74,8 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
     hi - lo <= min(tol, REL_WIDTH * hi), or when lo and hi are adjacent
     floats.  The result is the Newton point of the last evaluation, clipped
     to the bracket (its midpoint where there is no Newton point);
-    `evaluations` counts the call at TOP_RADIUS and the residual's call.
+    `evaluations` counts every call, the start's and the residual's
+    included.
 
     The step count rests on the slope being the derivative of S: a slope
     overstated k-fold makes the Newton steps k times too short, and the
@@ -82,16 +92,25 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
             return math.inf, math.nan
         return (s, slope) if math.isfinite(s) else (math.inf, math.nan)
 
-    x = TOP_RADIUS  # the point evaluated last
+    x = start  # the point evaluated last
     s, slope = safe(x)
-    if s <= 1.0:
+    if s <= 1.0 and x == TOP_RADIUS:
         return saturated_at_one(evals)
-    lo, hi = 0.0, TOP_RADIUS
+    lo, hi = (x, TOP_RADIUS) if s <= 1.0 else (0.0, x)
+    hi_seen = s > 1.0
     while True:
         width = min(tol, REL_WIDTH * hi)
         mid = 0.5 * (lo + hi)
         if hi - lo <= width or not lo < mid < hi:
-            break  # closed, or lo and hi are adjacent floats
+            if hi_seen:
+                break  # closed, or lo and hi are adjacent floats
+            # closed on TOP_RADIUS, which is still to be evaluated
+            x = TOP_RADIUS
+            s, slope = safe(x)
+            if s <= 1.0:
+                return saturated_at_one(evals)
+            hi_seen = True
+            continue
         step = _newton_point(x, s, slope)
         if abs(step - x) <= 0.5 * width:
             # converged: probe just across the Newton point from x
@@ -104,7 +123,7 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL):
         if s <= 1.0:
             lo = x
         else:
-            hi = x
+            hi, hi_seen = x, True
     value = _newton_point(x, s, slope)
     value = 0.5 * (lo + hi) if math.isnan(value) else min(max(value, lo), hi)
     return RadiusResult(
@@ -128,8 +147,11 @@ def _newton_point(r, value, slope):
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1.
 
-    A family with no positive coefficient of degree >= 1 has S = 0, so the
-    root finder's first probe returns `saturated_at_one`.
+    The root finder starts at the evaluator's `start` where it lies below
+    TOP_RADIUS (on the ball, the largest single-term AM-GM crossing), and
+    at TOP_RADIUS otherwise.  A family with no positive coefficient of
+    degree >= 1 has S = 0 and no start, so its first evaluation, at
+    TOP_RADIUS, returns `saturated_at_one`.
     """
     majorant = maj.evaluator(f, p, domain, seed)
 
@@ -137,7 +159,7 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
         mv = majorant(r)
         return mv.value, mv.slope
 
-    return bisect_unit_crossing(evaluate, tol=tol)
+    return bisect_unit_crossing(evaluate, tol=tol, start=min(TOP_RADIUS, majorant.start))
 
 
 def exact_h2_radius(n, p):

@@ -35,6 +35,13 @@ def test_sweep_failure_carries_partial():
     assert len(err.value.partial) == 2
 
 
+def test_sweep_lets_parameter_errors_through():
+    # an out-of-range parameter is the caller's error, not a failure at one n
+    with pytest.raises(ParameterError, match="only for p in") as err:
+        sweep(lambda n: exact_h2_radius(n, 2.5), [10, 20])
+    assert not isinstance(err.value, SweepError)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_sweep_refuses_a_non_finite_value(bad):
     with pytest.raises(SweepError) as err:

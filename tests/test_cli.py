@@ -404,6 +404,23 @@ def test_non_integer_sizes_and_non_bool_flags_exit_4(capsys, argv, stdin_text):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "10", "--p", "3", "--q", "2", "--C", "1"],
+        ["sweep", "--generator", "certify-closed", "--p", "3", "--q", "2", "--n-list", "10,20"],
+        ["fit", "--generator", "exact-h2", "--p", "2.5", "--n-list", "10,20,30"],
+    ],
+    ids=["certify", "sweep", "fit"],
+)
+def test_out_of_range_parameters_exit_4_inside_sweeps(capsys, argv):
+    # a sweep's generator refuses the same parameters as the single command
+    assert main(argv) == EXIT_RANGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "generator failed" not in err
+
+
 def test_float_fields_have_17_digit_round_trip():
     _, out = run_cli(["exact-h2", "--n", "3", "--p", "1.3"])
     raw = out.split('"value": ')[1].split("}")[0]

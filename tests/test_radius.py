@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import family
+from bohrlab import family, radius
 from bohrlab.bounds import CertificateInput, certified_lower_bound
 from bohrlab.errors import ParameterError, TailDivergenceError
 from bohrlab.majorant import (
@@ -13,6 +13,7 @@ from bohrlab.majorant import (
     powered_majorant_polydisk,
 )
 from bohrlab.radius import (
+    DEFAULT_TOL,
     TOP_RADIUS,
     PluriharmonicFamily,
     bisect_unit_crossing,
@@ -174,10 +175,152 @@ def test_mixed_ball_families_solve_in_few_evaluations():
     for f, p, t in mixed_ball_cases(7, 20):
         res = solve_bohr_radius(f, p, DomainSpec.lt_ball(t))
         lo, hi = res.bracket
-        assert res.method == "bisection" and res.evaluations <= 10
+        assert res.method == "bisection" and res.evaluations <= 8
         assert hi - lo <= 1e-12 * hi and lo <= res.value <= hi
         assert powered_majorant_ball(f, p, t, lo).value <= 1.0
         assert powered_majorant_ball(f, p, t, hi).value > 1.0
+
+
+def recorded_solve(monkeypatch, solve, *args):
+    """(result, start, {r: S(r)} over every evaluation) of one solve."""
+    starts, seen = [], {}
+
+    def recording(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
+        def record(r):
+            s, slope = evaluate(r)
+            seen[r] = s
+            return s, slope
+
+        starts.append(start)
+        return bisect_unit_crossing(record, tol=tol, start=start)
+
+    monkeypatch.setattr(radius, "bisect_unit_crossing", recording)
+    res = solve(*args)
+    monkeypatch.undo()
+    return res, starts[0], seen
+
+
+def started_ball_solves():
+    """(solve, args, the crossing where known in closed form) of ball
+    solves; all but one mixed case have a single-term AM-GM crossing
+    inside the ball."""
+    ball = DomainSpec.lt_ball
+    cases = [(solve_bohr_radius, (f, p, ball(t)), None) for f, p, t in mixed_ball_cases(7, 20)]
+    tailed = family.explicit(
+        2, {(1, 0): 0.9, (1, 1): 3.0, (0, 2): 0.7}, tail=family.AnalyticTail(0.2)
+    )
+    cases.append((solve_bohr_radius, (tailed, 1.0, ball(2.0)), None))
+    holo = family.explicit(2, {(1, 0): 0.7, (2, 1): 1.9, (0, 3): 0.8})
+    pair = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 0): 0.5, (0, 3): 0.4}))
+    cases.append((pluriharmonic_radius, (pair, 1.0, 2.0), None))
+    for alpha, t, p, sigma in [((2, 1), 2.0, 1.0, 1.7), ((1, 3, 2), 1.5, 0.5, 2.3)]:
+        f = family.rescale(family.normalized_monomial(alpha, t), (sigma,) * len(alpha))
+        cases.append((solve_bohr_radius, (f, p, ball(t)), 1.0 / sigma))
+    return cases
+
+
+def test_ball_solves_start_where_s_is_at_least_one(monkeypatch):
+    for solve, args, crossing in started_ball_solves():
+        res, start, seen = recorded_solve(monkeypatch, solve, *args)
+        if crossing is not None:
+            # a single monomial crosses 1 where its AM-GM maximum does
+            assert start == pytest.approx(crossing, rel=1e-15)
+            assert res.value == pytest.approx(crossing, rel=1e-13)
+        if start == TOP_RADIUS:
+            continue  # every term maximum at r = 1 is at most 1
+        assert start < TOP_RADIUS and next(iter(seen)) == start
+        assert seen[start] >= 1.0 - 1e-15
+        lo, hi = res.bracket
+        assert res.method == "bisection" and lo <= res.value <= hi
+        assert seen[lo] <= 1.0 < seen[hi]
+        # a start with S > 1 is the first right end, and Newton steps from
+        # there stay left of it; one with S <= 1 (on the crossing, up to
+        # rounding) is the left end
+        assert TOP_RADIUS not in seen
+        assert max(seen) == start if seen[start] > 1.0 else lo == start
+
+
+def test_a_start_on_the_crossing_becomes_the_left_end():
+    # S(r) = (r / 0.5)^2 is 1 at the start: the start is lo, TOP_RADIUS is
+    # never needed, and the probe above it closes the bracket
+    seen = {}
+
+    def evaluate(r):
+        seen[r] = (r / 0.5) ** 2
+        return seen[r], 2.0 * seen[r]
+
+    res = bisect_unit_crossing(evaluate, start=0.5)
+    lo, hi = res.bracket
+    assert list(seen)[:2] == [0.5, hi] and lo == 0.5 and seen[hi] > 1.0
+    assert res.evaluations == 3 and res.value == 0.5
+
+
+@pytest.mark.parametrize("top", [0.5, 2.0], ids=["saturated", "crossing-at-top"])
+def test_a_bracket_closed_on_top_radius_evaluates_it(top):
+    # S <= 1 from the start up to TOP_RADIUS, where it is `top`: the steps
+    # close the bracket on TOP_RADIUS before S there is known
+    seen = []
+
+    def evaluate(r):
+        seen.append(r)
+        return (top, 0.0) if r == TOP_RADIUS else (0.5, 0.0)
+
+    res = bisect_unit_crossing(evaluate, start=TOP_RADIUS - 1e-11)
+    assert seen.count(TOP_RADIUS) == 1 and res.evaluations == len(seen)
+    if top <= 1.0:
+        assert seen[-1] == TOP_RADIUS and res == saturated_at_one(len(seen))
+    else:
+        lo, hi = res.bracket
+        assert hi == TOP_RADIUS and lo in seen and res.method == "bisection"
+
+
+def test_families_below_one_at_the_boundary_start_at_top_radius(monkeypatch):
+    # every term maximum at r = 1 is at most 1, and so is S: the one
+    # evaluation, at TOP_RADIUS, saturates
+    small = family.explicit(2, {(1, 0): 0.3, (1, 1): 0.4, (0, 2): 0.2})
+    pair = PluriharmonicFamily(holo=small, anti=family.explicit(2, {(0, 1): 0.05}))
+    for solve, args in [
+        (solve_bohr_radius, (small, 1.0, DomainSpec.lt_ball(2.0))),
+        (solve_bohr_radius, (small, 1.0, DomainSpec.lt_ball(1.0))),
+        (pluriharmonic_radius, (pair, 1.0, 2.0)),
+    ]:
+        res, start, seen = recorded_solve(monkeypatch, solve, *args)
+        assert start == TOP_RADIUS and list(seen) == [TOP_RADIUS]
+        assert res == saturated_at_one(evaluations=1)
+
+
+def solve_from_top_radius(f, p, domain):
+    """The root finder from TOP_RADIUS on the evaluator a solve uses."""
+    majorant = evaluator(f, p, domain)
+
+    def evaluate(r):
+        mv = majorant(r)
+        return mv.value, mv.slope
+
+    return bisect_unit_crossing(evaluate)
+
+
+def test_started_solves_take_no_more_evaluations_than_from_top_radius():
+    total = total_from_top = 0
+    for f, p, t in mixed_ball_cases(7, 20):
+        res = solve_bohr_radius(f, p, DomainSpec.lt_ball(t))
+        from_top = solve_from_top_radius(f, p, DomainSpec.lt_ball(t))
+        assert res.evaluations <= from_top.evaluations
+        total += res.evaluations
+        total_from_top += from_top.evaluations
+    assert total < total_from_top
+
+
+def test_polydisk_solves_start_at_top_radius():
+    # the polydisk takes no start, so its solves are those from TOP_RADIUS
+    cases = [
+        (family.moebius(0.5), 1.0),
+        (family.extremal_g(367, 0.25), 0.25),
+        (family.extremal_g(10**5, 1.3), 1.3),
+    ]
+    for f, p in cases:
+        assert evaluator(f, p, POLYDISK).start == math.inf
+        assert solve_bohr_radius(f, p, POLYDISK) == solve_from_top_radius(f, p, POLYDISK)
 
 
 @pytest.mark.parametrize(
