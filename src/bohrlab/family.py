@@ -72,11 +72,13 @@ class CoefficientFamily:
                 raise ParameterError(f"entry at {alpha} is not in [0, inf): {value}")
 
     def powered_terms(self, p):
-        """[(alpha, ||x_alpha||^p)] over the explicit entries with a positive
-        norm and degree >= 1, in entry order."""
+        """[(alpha, ||x_alpha||^p)] over the explicit entries of degree >= 1
+        whose p-th power is positive (it underflows to 0 for a tiny norm), in
+        entry order."""
         try:
-            # the value test comes first: it skips summing a zero entry's index
-            return [(a, v**p) for a, v in self.entries.items() if v > 0.0 and sum(a) >= 1]
+            # the value test comes first: it skips summing a zero term's index
+            items = self.entries.items()
+            return [(a, w) for a, v in items if (w := v**p) > 0.0 and sum(a) >= 1]
         except OverflowError:
             raise ParameterError(f"an entry's {p}-th power exceeds the float range") from None
 
@@ -106,6 +108,16 @@ class CoefficientFamily:
             total -= term
             slope -= k * term
         return max(total, 0.0), max(slope, 0.0)
+
+    def tail_lead(self, p):
+        """[(log of C(n+K, K+1) v^(p(K+1)), K+1)], K = truncation_degree: the
+        tail's first degree block is that coefficient times r^(p(K+1)), a
+        term of `powered_tail(p, r)`; [] without a tail or with v = 0."""
+        if self.tail is None or self.tail.parameter == 0.0:
+            return []
+        k = self.truncation_degree + 1
+        count = math.comb(self.dimension + k - 1, k)
+        return [(math.log(count) + p * k * math.log(self.tail.parameter), k)]
 
     def powered_tail(self, p, r):
         """(the tail's sum of ||x_alpha||^p r^(p|alpha|), its slope in log r):
@@ -249,8 +261,11 @@ def rescale(f, sigma):
     entries = {}
     for alpha, value in f.entries.items():
         factor = 1.0
-        for s, a in zip(sigma, alpha):
-            factor *= s**a
+        try:
+            for s, a in zip(sigma, alpha):
+                factor *= s**a
+        except OverflowError:
+            raise ParameterError(f"rescaled entry at {alpha} exceeds the float range") from None
         entries[alpha] = factor * value
     return CoefficientFamily(
         dimension=f.dimension,

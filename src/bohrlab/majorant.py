@@ -10,8 +10,9 @@ family's `powered_tail` and labels the value for both domains; the
 (f, p, domain, seed, r) alone.
 
 A family is read only through `dimension`, `powered_terms(p)`,
-`degree_power_sums(p)` and `powered_tail(p, r)`, which a `CoefficientFamily`
-and a pluriharmonic pair (terms |a_alpha|^p + |b_alpha|^p) both provide.
+`degree_power_sums(p)`, `powered_tail(p, r)` and, on the ball,
+`tail_lead(p)`, which a `CoefficientFamily` and a pluriharmonic pair (terms
+|a_alpha|^p + |b_alpha|^p, one tail row per part) both provide.
 
 The optimizer's plain update is the fixed-point map u <- T(u) = b w / sum(w)
 with w_i = u_i dF/du_i and b = r^t.  Where the terms use at most
@@ -32,16 +33,22 @@ by at most `STILL_ULPS` ulps; rows at face optima stop by this rule as
 well.  A row that stops has its iterate and value recorded at that update
 and stays in the array, so every product has `N_STARTS` rows.
 
-On the ball the evaluator also gives the solver its start: the smallest
-radius where one term's AM-GM maximum reaches 1 (`_amgm_crossing`).
-S >= 1 there, so S crosses 1 at or below it.
+On the ball the path is compiled around one AM-GM table, built once per
+evaluator: a row per explicit term, L = log c + (p/t) sum_i alpha_i
+log(alpha_i/|alpha|), the log of the term's maximum on the unit ball, with
+its degree |alpha|, and a row per tail for its first degree block, C(n+K,
+K+1) (v r)^(p(K+1)) with K the truncation degree.  Each row is a term of S
+that equals e^L r^(p|alpha|), so the smallest radius where one term's AM-GM
+maximum reaches 1 (a tail's first block included) has S >= 1; it is the
+solver's start, and S crosses 1 at or below it.  A single term and a pure
+degree-1 family compile to one homogeneous closed form, S = A r^(pk) with
+maximizer r z0, from the same table.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
 theorem gives the slope of the sup as that sum at the maximizer.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -119,40 +126,6 @@ def _terms(f, p):
     return np.array(alphas, dtype=float), np.array(coeffs)
 
 
-def _single_monomial_max(alpha, coeff, p, t, r):
-    """Weighted AM-GM: maximizer u_i proportional to alpha_i."""
-    k = sum(alpha)
-    log_val = math.log(coeff) + p * k * math.log(r) if r > 0 else -math.inf
-    if r > 0:
-        log_val += (p / t) * sum(a * (math.log(a) - math.log(k)) for a in alpha if a > 0)
-        value = math.exp(log_val)
-    else:
-        value = 0.0
-    budget = r**t
-    u = [budget * a / k for a in alpha]
-    return value, p * k * value, tuple(ui ** (1.0 / t) for ui in u)
-
-
-def _degree_one_max(coeffs, p, t, r):
-    """Closed forms for sum c_i u_i^(p/t) over the simplex sum u_i = r^t."""
-    s = p / t
-    budget = r**t
-    if s < 1.0:
-        # interior optimum: u_i proportional to c_i^(1/(1-s))
-        w = coeffs ** (1.0 / (1.0 - s))
-        total_w = float(np.sum(w))
-        value = budget**s * total_w ** (1.0 - s)
-        u = budget * w / total_w
-    else:
-        # convex in u: optimum sits at the best vertex
-        i = int(np.argmax(coeffs))
-        value = float(coeffs[i]) * budget**s
-        u = np.zeros_like(coeffs)
-        u[i] = budget
-    # value is homogeneous of degree p in r
-    return value, p * value, tuple(float(ui) ** (1.0 / t) for ui in u)
-
-
 def _start_directions(n, alphas, coeffs, seed, n_starts):
     """Multistart points on the unit simplex; scaled by b they are the starts
     on sum u_i = b.  The centre, one point near each vertex, term-proportional
@@ -172,58 +145,62 @@ def _start_directions(n, alphas, coeffs, seed, n_starts):
     return np.array(points[:n_starts])
 
 
-def _amgm_crossing(alphas, coeffs, p, t):
-    """The smallest r at which one term's AM-GM maximum over the l_t ball
-    of radius r, c r^(pk) prod_i (alpha_i / k)^(p alpha_i / t) with
-    k = |alpha|, reaches 1; no term exceeds the sup, so S >= 1 there.  inf
-    where no such r lies in (0, 1) as a float: without terms, and where
-    every term's crossing is at or beyond 1 or the smallest one underflows."""
-    if len(coeffs) == 0:
-        return math.inf
-    degrees = alphas.sum(axis=1)
-    # alpha_i log(alpha_i / k), 0 at alpha_i = 0
-    entropy = (alphas * np.log(np.maximum(alphas, 1.0) / degrees[:, None])).sum(axis=1)
-    log_r = float((-(np.log(coeffs) + (p / t) * entropy) / (p * degrees)).min())
-    r = math.exp(min(log_r, 0.0))
-    return r if 0.0 < r < 1.0 else math.inf
-
-
 def _ball_path(f, p, t, seed):
     """(path, optimizes, start): path(r) -> (value, slope, maximizer) of
     the explicit terms over the l_t ball of radius r, whether path(r) runs
-    the optimizer at r > 0, and the terms' `_amgm_crossing`.  Closed forms
-    cover single monomials and pure degree-1 families; the rest runs the
-    multistart optimizer, all starts in one batch.  Where no start
-    converges, the slope is None and the maximizer the best point found,
-    or None."""
+    the optimizer at r > 0, and the smallest crossing exp(-L / (p k)) in the
+    AM-GM table (see the module docstring); inf where none lies in (0, 1)
+    as a float.  A single term and a pure degree-1 family compile to one
+    closed form (scale, k, z0): S = scale r^(pk), with maximizer r z0; the
+    rest runs the multistart optimizer, all starts in one batch.  Where no
+    start converges, the slope is None and the maximizer the best point
+    found, or None."""
     alphas, coeffs = _terms(f, p)
     n = f.dimension
     degrees = alphas.sum(axis=1)
-    closed = maximize = None
+    # alpha_i log(alpha_i / k), 0 at alpha_i = 0
+    entropy = (alphas * np.log(np.maximum(alphas, 1.0) / degrees[:, None])).sum(axis=1)
+    log_max = np.log(coeffs) + (p / t) * entropy
+    log_starts = [*(-log_max / (p * degrees)), *(-log_c / (p * k) for log_c, k in f.tail_lead(p))]
+    start = math.exp(min([0.0, *log_starts]))
+    form = maximize = None
     if len(coeffs) == 1:
-        alpha = tuple(int(a) for a in alphas[0])
-        closed = functools.partial(_single_monomial_max, alpha, float(coeffs[0]), p, t)
+        # weighted AM-GM: u_i = r^t alpha_i / k
+        k = float(degrees[0])
+        form = math.exp(log_max[0]), k, (alphas[0] / k) ** (1.0 / t)
     elif len(coeffs) > 1 and np.all(degrees == 1):
-        # reorder coefficients by coordinate so vertex/interior formulas apply
-        by_coord = np.zeros(n)
-        for row, c in zip(alphas, coeffs):
-            by_coord[int(np.argmax(row))] += c
-        closed = functools.partial(_degree_one_max, by_coord, p, t)
+        # sum_i c_i u_i^s over the simplex sum u_i = r^t, s = p/t; each row
+        # of alphas is a unit vector, so c by coordinate is coeffs @ alphas
+        c = coeffs @ alphas
+        s = p / t
+        if s < 1.0:
+            # concave: the interior optimum, u_i proportional to c_i^(1/(1-s)),
+            # with c scaled by its largest entry so that the powers stay finite
+            top = c.max()
+            w = (c / top) ** (1.0 / (1.0 - s))
+            total = w.sum()
+            form = float(top * total ** (1.0 - s)), 1.0, (w / total) ** (1.0 / t)
+        else:
+            # convex: the best vertex, the first one of a tie
+            i = np.argmax(c)
+            form = float(c[i]), 1.0, np.eye(1, n, i)[0]
     elif len(coeffs) > 1:
         maximize = _simplex_maximizer(alphas, coeffs, p / t, seed)
 
     def path(r):
         if len(coeffs) == 0 or r == 0.0:
             return 0.0, 0.0, (r * n ** (-1.0 / t),) * n
-        if closed is not None:
-            return closed(r)
+        if form is not None:
+            scale, k, z0 = form
+            value = scale * r ** (p * k)
+            return value, p * k * value, tuple((r * z0).tolist())
         value, u, terms, converged = maximize(r**t)
         if not converged:
             return value, None, None if u is None else tuple(u ** (1.0 / t))
         # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
         return value, p * float(terms @ degrees), tuple(float(ui) ** (1.0 / t) for ui in u)
 
-    return path, maximize is not None, _amgm_crossing(alphas, coeffs, p, t)
+    return path, maximize is not None, start if 0.0 < start < 1.0 else math.inf
 
 
 def _simplex_maximizer(alphas, coeffs, s, seed):
@@ -443,8 +420,9 @@ def evaluator(f, p, domain, seed=0):
     """evaluate(r) -> the majorant over the domain of radius r; no
     evaluation starts from an earlier one.  `evaluate.start` is a radius
     in (0, 1) where S >= 1 is known without evaluating: on the ball the
-    largest single-term AM-GM crossing (`_amgm_crossing`); inf where none
-    is known, on the polydisk and without explicit terms.
+    smallest radius where one term's AM-GM maximum reaches 1, a tail's
+    first degree block counted as a term; inf where none is known, on the
+    polydisk and without terms or tail.
 
     The family's `powered_tail(p, r)` is its tail's polydisk closed form:
     exact on the polydisk, an upper bound on the ball.  So a value is

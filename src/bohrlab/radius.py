@@ -148,8 +148,8 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1.
 
     The root finder starts at the evaluator's `start` where it lies below
-    TOP_RADIUS (on the ball, the largest single-term AM-GM crossing), and
-    at TOP_RADIUS otherwise.  A family with no positive coefficient of
+    TOP_RADIUS (on the ball, the smallest radius where one term's AM-GM
+    maximum reaches 1), and at TOP_RADIUS otherwise.  A family with no positive coefficient of
     degree >= 1 has S = 0 and no start, so its first evaluation, at
     TOP_RADIUS, returns `saturated_at_one`.
     """
@@ -220,6 +220,10 @@ class PluriharmonicFamily:
         return list(weights.items())
 
     degree_power_sums = fam.CoefficientFamily.degree_power_sums
+
+    def tail_lead(self, p):
+        """One first-block row per part's tail."""
+        return self.holo.tail_lead(p) + self.anti.tail_lead(p)
 
     def powered_tail(self, p, r):
         """The two parts' tail sums and slopes, added."""

@@ -363,6 +363,32 @@ def test_coefficient_power_overflow_exits_4(capsys):
     assert out == "" and err == "error: an entry's 2.0-th power exceeds the float range\n"
 
 
+# 1e-200 squared underflows to 0.0: the term adds nothing to S
+UNDERFLOWING = family.explicit(1, {(2,): 1e-200})
+
+
+@pytest.mark.parametrize("t", [None, "2"], ids=["polydisk", "ball"])
+def test_underflowing_coefficient_powers_saturate(t):
+    domain = majorant.DomainSpec.polydisk() if t is None else majorant.DomainSpec.lt_ball(2.0)
+    assert radius.solve_bohr_radius(UNDERFLOWING, 2.0, domain) == radius.saturated_at_one(1)
+    pair = radius.PluriharmonicFamily(holo=UNDERFLOWING, anti=UNDERFLOWING)
+    assert radius.solve_bohr_radius(pair, 2.0, domain).method == "saturated_at_one"
+    argv = ["solve", "--p", "2", *([] if t is None else ["--t", t])]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(bohrlab.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "bohrlab.cli", *argv],
+        input=family.to_json(UNDERFLOWING),
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["result"]["method"] == "saturated_at_one"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
 def test_non_finite_family_entry_exits_4(capsys, value):
     stdin_text = f'{{"dimension": 1, "truncation_degree": 1, "entries": [[[1], {value}]]}}'

@@ -96,6 +96,11 @@ def test_rescale():
         family.rescale(f, (math.nan, 1.0))
 
 
+def test_rescale_beyond_the_float_range_is_a_parameter_error():
+    with pytest.raises(ParameterError, match="exceeds the float range"):
+        family.rescale(family.explicit(1, {(2,): 0.5}), (1e200,))
+
+
 def test_rescale_damps_h2_norm():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -123,6 +128,12 @@ def test_degree_power_sums_unchanged():
     )
     for p in [0.5, 1.0, 1.7]:
         assert f.degree_power_sums(p) == reference(f, p) == {1: 0.3**p, 2: 0.4**p + 0.2**p}
+
+
+def test_powered_terms_drop_powers_that_underflow():
+    f = family.explicit(2, {(1, 0): 1e-200, (1, 1): 0.5, (0, 2): 0.0})
+    assert f.powered_terms(2.0) == [((1, 1), 0.25)]
+    assert f.powered_terms(1.0) == [((1, 0), 1e-200), ((1, 1), 0.5)]
 
 
 def test_h2_norm_simple():

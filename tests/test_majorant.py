@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from bohrlab import family, majorant
 from bohrlab.errors import ConvergenceError, ParameterError, TailDivergenceError
 from bohrlab.majorant import DomainSpec, powered_majorant_ball, powered_majorant_polydisk
-from bohrlab.radius import solve_bohr_radius
+from bohrlab.radius import TOP_RADIUS, solve_bohr_radius
 from oracles import grid_oracle_ball, random_sparse_family, serial_ball_optimizer
 
 Z_ONLY = family.explicit(1, {(1,): 1.0})
@@ -57,6 +58,92 @@ def test_ball_degree_one_equal_coordinates():
         res = powered_majorant_ball(f, 1.0, 2.0, r)
         assert res.value == pytest.approx(math.sqrt(3) * r, rel=1e-12)
         assert res.exactness == "exact"
+
+
+def closed_form_reference(f, p, t, r):
+    """(value, slope, maximizer) of a single term or a pure degree-1 family
+    on the l_t ball of radius r, from the closed forms in 40 digits."""
+    with mpmath.workdps(40):
+        terms = sorted(f.powered_terms(p))
+        p, t, r = mpmath.mpf(p), mpmath.mpf(t), mpmath.mpf(r)
+        if len(terms) == 1:
+            # weighted AM-GM: |z_i|^t = r^t alpha_i / k
+            ((alpha, c),) = terms
+            k = sum(alpha)
+            scale = c * mpmath.fprod((mpmath.mpf(a) / k) ** (p * a / t) for a in alpha)
+            z0 = [(mpmath.mpf(a) / k) ** (1 / t) for a in alpha]
+        else:
+            k = 1
+            c = [mpmath.mpf(0)] * f.dimension
+            for alpha, w in terms:
+                c[alpha.index(1)] = mpmath.mpf(w)
+            s = p / t
+            if s < 1:
+                w = [ci ** (1 / (1 - s)) for ci in c]
+                total = mpmath.fsum(w)
+                scale = total ** (1 - s)
+                z0 = [(wi / total) ** (1 / t) for wi in w]
+            else:
+                i = c.index(max(c))  # the first coordinate of a tie
+                scale = c[i]
+                z0 = [mpmath.mpf(j == i) for j in range(f.dimension)]
+        value = scale * r ** (p * k)
+        return value, p * k * value, [r * x for x in z0]
+
+
+def within_ulps(x, reference, ulps=4):
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(x) - reference) <= ulps * np.spacing(float(reference))
+
+
+def unit_rows(n, coeffs):
+    """The degree-1 family sum_i coeffs[i] z_i, without the zero ones."""
+    return family.explicit(n, {tuple(int(j == i) for j in range(n)): c for i, c in coeffs.items()})
+
+
+# (family, p, t): both closed forms at p = t, where the interior and vertex
+# cases meet, at a tie for the largest degree-1 coefficient, with a
+# coordinate that no term uses, and at t = 1
+CLOSED_FORM_CASES = {
+    "monomial": (family.explicit(2, {(1, 1): 1.0}), 1.0, 2.0),
+    "monomial_unused_coordinate": (family.explicit(3, {(2, 1, 0): 1.7}), 1.5, 2.0),
+    "monomial_p_equals_t": (family.explicit(2, {(2, 1): 0.9}), 2.0, 2.0),
+    "monomial_t_1": (family.explicit(3, {(1, 3, 2): 1.7}), 0.5, 1.0),
+    "degree_one_interior": (unit_rows(3, {0: 0.5, 1: 0.8, 2: 0.3}), 1.0, 2.0),
+    "degree_one_interior_tie": (unit_rows(3, {0: 1.0, 1: 1.0, 2: 1.0}), 1.0, 2.0),
+    "degree_one_interior_unused_coordinate": (unit_rows(3, {0: 0.8, 2: 0.6}), 1.0, 2.0),
+    "degree_one_interior_t_1": (unit_rows(2, {0: 0.5, 1: 0.8}), 0.5, 1.0),
+    "degree_one_vertex": (unit_rows(2, {0: 0.5, 1: 0.8}), 2.0, 1.5),
+    "degree_one_p_equals_t": (unit_rows(2, {0: 0.5, 1: 0.8}), 2.0, 2.0),
+    "degree_one_vertex_tie": (unit_rows(3, {0: 0.5, 1: 0.8, 2: 0.8}), 2.0, 2.0),
+    "degree_one_vertex_unused_coordinate": (unit_rows(3, {0: 0.8, 2: 0.9}), 3.0, 2.0),
+    "degree_one_vertex_t_1": (family.linear_form(4, 2.0, 1.0), 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("r", [0.6, TOP_RADIUS], ids=["r=0.6", "r=TOP_RADIUS"])
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_ball_closed_forms_match_40_digit_values(case, r):
+    f, p, t = CLOSED_FORM_CASES[case]
+    res = powered_majorant_ball(f, p, t, r)
+    value, slope, z = closed_form_reference(f, p, t, r)
+    assert res.exactness == "exact"
+    assert within_ulps(res.value, value) and within_ulps(res.slope, slope)
+    assert all(within_ulps(x, y) for x, y in zip(res.maximizer, z, strict=True))
+
+
+@pytest.mark.parametrize(
+    "coeffs, p", [((30.0, 20.0), 1.99), ((0.01, 0.02), 1.99), ((3.0, 2.9), 1.999)]
+)
+def test_ball_degree_one_interior_stays_finite_as_p_nears_t(coeffs, p):
+    # c_i^(1/(1 - p/t)) leaves the float range here; c scaled by its largest
+    # entry does not.  The other coordinates' ratios are rounded, and the
+    # power 1/(1 - p/t) <= 2000 multiplies that relative error
+    f = unit_rows(2, dict(enumerate(coeffs)))
+    res = powered_majorant_ball(f, p, 2.0, 0.6)
+    value, slope, z = closed_form_reference(f, p, 2.0, 0.6)
+    assert within_ulps(res.value, value) and within_ulps(res.slope, slope)
+    assert res.maximizer == pytest.approx([float(x) for x in z], rel=1e-13, abs=0.0)
 
 
 TAILED = family.AnalyticTail(0.4)

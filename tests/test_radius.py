@@ -216,7 +216,17 @@ def started_ball_solves():
     for alpha, t, p, sigma in [((2, 1), 2.0, 1.0, 1.7), ((1, 3, 2), 1.5, 0.5, 2.3)]:
         f = family.rescale(family.normalized_monomial(alpha, t), (sigma,) * len(alpha))
         cases.append((solve_bohr_radius, (f, p, ball(t)), 1.0 / sigma))
+    # tails alone: the start is the crossing of a tail's first degree block
+    for n, p in TAIL_ONLY_CASES:
+        cases.append((solve_bohr_radius, (family.extremal_g(n, p), p, ball(2.0)), None))
+    cases.append((pluriharmonic_radius, (TAILS_ONLY_PAIR, 1.0, 2.0), None))
     return cases
+
+
+TAIL_ONLY_CASES = [(10**5, 1.3), (367, 0.25), (1000, 0.25)]
+TAILS_ONLY_PAIR = PluriharmonicFamily(
+    holo=family.extremal_g(3, 1.0), anti=family.explicit(3, {}, tail=family.AnalyticTail(0.2))
+)
 
 
 def test_ball_solves_start_where_s_is_at_least_one(monkeypatch):
@@ -287,6 +297,38 @@ def test_families_below_one_at_the_boundary_start_at_top_radius(monkeypatch):
         res, start, seen = recorded_solve(monkeypatch, solve, *args)
         assert start == TOP_RADIUS and list(seen) == [TOP_RADIUS]
         assert res == saturated_at_one(evaluations=1)
+
+
+@pytest.mark.parametrize("n, p", TAIL_ONLY_CASES)
+def test_tail_only_ball_solves_start_at_the_first_block_crossing(monkeypatch, n, p):
+    g = family.extremal_g(n, p)
+    ball = DomainSpec.lt_ball(2.0)
+    res, start, seen = recorded_solve(monkeypatch, solve_bohr_radius, g, p, ball)
+    # the first block, n (v r)^p, is 1 at r = n^(-1/p) / v
+    assert start == pytest.approx(n ** (-1.0 / p) / g.tail.parameter, rel=1e-14)
+    lo, hi = res.bracket
+    assert seen[start] >= 1.0 and seen[lo] <= 1.0 < seen[hi]
+    assert res.evaluations <= 8
+    assert res.value == pytest.approx(exact_h2_radius(n, p), rel=1e-12)
+
+
+def test_tail_lead_is_the_first_block_of_the_tail():
+    # K = 2, n = 2: the first block is C(4, 3) (0.3 r)^(3p)
+    f = family.explicit(2, {(1, 1): 0.5}, tail=family.AnalyticTail(0.3))
+    ((log_scale, k),) = f.tail_lead(1.5)
+    assert k == 3 and log_scale == pytest.approx(math.log(4.0 * 0.3**4.5), rel=1e-15)
+    # a term of the tail's sum, and its leading one as r -> 0
+    for r, rel in [(0.01, 1e-3), (0.5, 1.0), (0.9, 1.0)]:
+        block = math.exp(log_scale) * r ** (1.5 * k)
+        assert block <= f.powered_tail(1.5, r)[0] <= block * (1.0 + rel)
+    assert family.explicit(2, {(1, 1): 0.5}).tail_lead(1.0) == []
+    assert family.explicit(2, {}, tail=family.AnalyticTail(0.0)).tail_lead(1.0) == []
+    # a pair has one row per part's tail, and starts at the smaller crossing
+    pair = TAILS_ONLY_PAIR
+    rows = pair.tail_lead(1.0)
+    assert rows == pair.holo.tail_lead(1.0) + pair.anti.tail_lead(1.0) and len(rows) == 2
+    start = evaluator(pair, 1.0, DomainSpec.lt_ball(2.0)).start
+    assert start == min(math.exp(-a / k) for a, k in rows) < 1.0
 
 
 def solve_from_top_radius(f, p, domain):
@@ -542,12 +584,16 @@ def test_tailed_pairs_solve_on_a_ball():
     assert pluriharmonic_radius(pf, 1.0, math.inf).value < res.value < 1.0
     crossing = evaluator(pf, 1.0, DomainSpec.lt_ball(2.0))(res.value).value
     assert crossing == pytest.approx(1.0, abs=1e-9)
-    # with no explicit terms the ball adds the same tail as the polydisk
-    tails_only = PluriharmonicFamily(
-        holo=family.extremal_g(3, 1.0), anti=family.explicit(3, {}, tail=family.AnalyticTail(0.2))
-    )
-    ball = pluriharmonic_radius(tails_only, 1.0, 2.0)
-    assert ball.method == "bisection" and ball == pluriharmonic_radius(tails_only, 1.0, math.inf)
+    # with no explicit terms the ball adds the same tail as the polydisk; its
+    # solve starts at the tails' first-block crossing, so only the steps differ
+    ball = pluriharmonic_radius(TAILS_ONLY_PAIR, 1.0, 2.0)
+    polydisk = pluriharmonic_radius(TAILS_ONLY_PAIR, 1.0, math.inf)
+    assert ball.method == "bisection" and ball.value == polydisk.value
+    assert ball.evaluations < polydisk.evaluations
+    for r in [0.2, ball.value, 0.9]:
+        assert evaluator(TAILS_ONLY_PAIR, 1.0, DomainSpec.lt_ball(2.0))(r).value == (
+            evaluator(TAILS_ONLY_PAIR, 1.0, POLYDISK)(r).value
+        )
 
 
 def test_a_shared_index_keeps_the_am_gm_closed_form():
