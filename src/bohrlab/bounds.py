@@ -72,6 +72,8 @@ def certified_lower_bound(cert, mode="closed_form"):
     a bound on the dropped terms; math.exp and math.log are taken to be
     within one ulp), so the series is <= 1 there.  It misses the crossing by
     about 1e-12 of it at most, and the closed form never exceeds the crossing.
+    The residual |U(lo) - 1| is read from the solve's evaluation at lo, and
+    `evaluations` counts the radii where U was evaluated.
     """
     n, p, q, c = cert.n, cert.p, cert.q, cert.C
     if mode not in ("closed_form", "numeric"):
@@ -111,12 +113,18 @@ def certified_lower_bound(cert, mode="closed_form"):
                     return _up(total + rest), p * slope
         return math.inf, math.nan
 
-    res = bisect_unit_crossing(series)
+    values = {}  # U at each radius evaluated, so that U(lo) is read, not recomputed
+
+    def evaluate(r):
+        values[r] = series(r)
+        return values[r]
+
+    res = bisect_unit_crossing(evaluate)
     if res.method == "saturated_at_one":
         return res
     lo = res.bracket[0]
-    residual = abs(series(lo)[0] - 1.0)
-    return RadiusResult(lo, "certified_lower", residual, res.bracket, res.evaluations + 1)
+    u_lo = values[lo] if lo in values else evaluate(lo)  # lo = 0.0 is never a step
+    return RadiusResult(lo, "certified_lower", abs(u_lo[0] - 1.0), res.bracket, len(values))
 
 
 def witness_upper_linear_form(n, p, q, t):

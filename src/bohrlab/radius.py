@@ -73,29 +73,30 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
     above it when the last point landed with S <= 1.  The loop stops when
     hi - lo <= min(tol, REL_WIDTH * hi), or when lo and hi are adjacent
     floats.  The result is the Newton point of the last evaluation, clipped
-    to the bracket (its midpoint where there is no Newton point);
-    `evaluations` counts every call, the start's and the residual's
-    included.
+    to the bracket (its midpoint where there is no Newton point).  Each
+    radius is evaluated at most once: where the result is a bracket end,
+    its residual is read from that end's S, not recomputed, and
+    `evaluations` counts the distinct radii evaluated.
 
     The step count rests on the slope being the derivative of S: a slope
     overstated k-fold makes the Newton steps k times too short, and the
     iteration then needs about k times as many of them.
     """
-    evals = 0
+    seen = {}  # (S, slope) at each radius evaluated, so that none is evaluated twice
 
     def safe(r):
-        nonlocal evals
-        evals += 1
-        try:
-            s, slope = evaluate(r)
-        except TailDivergenceError:
-            return math.inf, math.nan
-        return (s, slope) if math.isfinite(s) else (math.inf, math.nan)
+        if r not in seen:
+            try:
+                s, slope = evaluate(r)
+            except TailDivergenceError:
+                s, slope = math.inf, math.nan
+            seen[r] = (s, slope) if math.isfinite(s) else (math.inf, math.nan)
+        return seen[r]
 
     x = start  # the point evaluated last
     s, slope = safe(x)
     if s <= 1.0 and x == TOP_RADIUS:
-        return saturated_at_one(evals)
+        return saturated_at_one(len(seen))
     lo, hi = (x, TOP_RADIUS) if s <= 1.0 else (0.0, x)
     hi_seen = s > 1.0
     while True:
@@ -108,7 +109,7 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
             x = TOP_RADIUS
             s, slope = safe(x)
             if s <= 1.0:
-                return saturated_at_one(evals)
+                return saturated_at_one(len(seen))
             hi_seen = True
             continue
         step = _newton_point(x, s, slope)
@@ -131,7 +132,7 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
         method="bisection",
         residual=abs(safe(value)[0] - 1.0),
         bracket=(lo, hi),
-        evaluations=evals,
+        evaluations=len(seen),
     )
 
 

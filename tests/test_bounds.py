@@ -82,6 +82,19 @@ def test_numeric_certificate_matches_the_q_inf_closed_form():
                 assert got.value == pytest.approx(want, rel=1e-11, abs=0.0), (n, p, c)
 
 
+def test_a_certificate_at_zero_evaluates_the_series_there():
+    # U > 1 already at 5e-324: the bracket closes on (0, 5e-324), whose
+    # lower end no step evaluated, so U(0) is evaluated for the residual;
+    # U(0) is taken at C r rounded up to 5e-324, x/(1-x) with x = 5e-324^p
+    res = certified_lower_bound(
+        CertificateInput(1, 0.01, math.inf, 0.5**100 / 5e-324), mode="numeric"
+    )
+    assert res.value == 0.0 and res.bracket == (0.0, 5e-324)
+    x = 5e-324**0.01
+    assert res.residual == pytest.approx(1.0 - x / (1.0 - x), rel=1e-12)
+    assert res.evaluations == 1012
+
+
 def test_numeric_dominates_closed_form():
     for n in [1, 5, 50, 1000]:
         for p in [0.5, 1.0, 1.5]:

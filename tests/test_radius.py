@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import family, radius
+from bohrlab import bounds, family, radius
 from bohrlab.bounds import CertificateInput, certified_lower_bound
 from bohrlab.errors import ParameterError, TailDivergenceError
 from bohrlab.majorant import (
@@ -16,6 +16,7 @@ from bohrlab.radius import (
     DEFAULT_TOL,
     TOP_RADIUS,
     PluriharmonicFamily,
+    RadiusResult,
     bisect_unit_crossing,
     exact_h2_radius,
     h2_defining_residual,
@@ -181,23 +182,78 @@ def test_mixed_ball_families_solve_in_few_evaluations():
         assert powered_majorant_ball(f, p, t, hi).value > 1.0
 
 
-def recorded_solve(monkeypatch, solve, *args):
-    """(result, start, {r: S(r)} over every evaluation) of one solve."""
-    starts, seen = [], {}
+def evaluation_log(monkeypatch, module, run):
+    """(run()'s result, start, [(r, S(r))] in the order evaluated) of the
+    one root finder that run() calls through module."""
+    starts, log = [], []
 
     def recording(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
         def record(r):
             s, slope = evaluate(r)
-            seen[r] = s
+            log.append((r, s))
             return s, slope
 
         starts.append(start)
         return bisect_unit_crossing(record, tol=tol, start=start)
 
-    monkeypatch.setattr(radius, "bisect_unit_crossing", recording)
-    res = solve(*args)
+    monkeypatch.setattr(module, "bisect_unit_crossing", recording)
+    res = run()
     monkeypatch.undo()
-    return res, starts[0], seen
+    return res, starts[0], log
+
+
+def recorded_solve(monkeypatch, solve, *args):
+    """(result, start, {r: S(r)} over every evaluation) of one solve."""
+    res, start, log = evaluation_log(monkeypatch, radius, lambda: solve(*args))
+    return res, start, dict(log)
+
+
+def test_each_radius_is_evaluated_once(monkeypatch):
+    # the result is often a bracket end: its residual is read from that
+    # end's S, and evaluations counts distinct radii
+    ball = DomainSpec.lt_ball
+    holo = family.explicit(2, {(1, 0): 0.7, (2, 1): 1.9, (0, 3): 0.8})
+    pair = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 0): 0.5, (0, 3): 0.4}))
+    solves = [
+        (family.moebius(0.3), 1.0, POLYDISK),
+        (family.moebius(0.5), 1.5, POLYDISK),
+        (family.extremal_g(10, 1.5), 1.5, POLYDISK),
+        (family.extremal_g(1000, 0.25), 0.25, POLYDISK),
+        (pair, 1.0, ball(2.0)),
+        (pair, 1.3, POLYDISK),
+    ] + [(f, p, ball(t)) for f, p, t in mixed_ball_cases(7, 20)]
+    at_an_end = 0
+    for f, p, domain in solves:
+        res, _, log = evaluation_log(monkeypatch, radius, lambda: solve_bohr_radius(f, p, domain))
+        radii = [r for r, _ in log]
+        assert len(set(radii)) == len(radii) == res.evaluations, (f, p, domain)
+        assert res.residual == abs(evaluator(f, p, domain, 0)(res.value).value - 1.0)
+        at_an_end += res.value in res.bracket
+    assert 3 * at_an_end >= len(solves)  # 12 of these 26 results are bracket ends
+    for n in [1, 10, 10**6]:
+        for p, q, c in [(1.0, 2.0, 1.0), (0.5, math.inf, 2.0), (1.3, 3.0, 0.7)]:
+            cert = CertificateInput(n, p, q, c)
+            res, _, log = evaluation_log(
+                monkeypatch, bounds, lambda: certified_lower_bound(cert, mode="numeric")
+            )
+            radii = [r for r, _ in log]
+            assert len(set(radii)) == len(radii) == res.evaluations, cert
+            assert res.method == "certified_lower" and res.value == res.bracket[0]
+            assert res.residual == abs(dict(log)[res.value] - 1.0)
+
+
+def test_a_result_at_zero_still_evaluates_its_residual():
+    # S > 1 everywhere: the bracket closes on (0, 5e-324) and the result is
+    # its midpoint 0.0, a radius no step evaluates, so the residual does
+    seen = []
+
+    def evaluate(r):
+        seen.append(r)
+        return math.inf, math.nan
+
+    res = bisect_unit_crossing(evaluate)
+    assert res == RadiusResult(0.0, "bisection", math.inf, (0.0, 5e-324), 1076)
+    assert len(seen) == len(set(seen)) == 1076 and seen[-1] == 0.0
 
 
 def started_ball_solves():
@@ -262,7 +318,7 @@ def test_a_start_on_the_crossing_becomes_the_left_end():
     res = bisect_unit_crossing(evaluate, start=0.5)
     lo, hi = res.bracket
     assert list(seen)[:2] == [0.5, hi] and lo == 0.5 and seen[hi] > 1.0
-    assert res.evaluations == 3 and res.value == 0.5
+    assert res.evaluations == 2 and res.value == 0.5
 
 
 @pytest.mark.parametrize("top", [0.5, 2.0], ids=["saturated", "crossing-at-top"])
@@ -575,7 +631,7 @@ def test_polydisk_solves_take_the_degree_sums_once(monkeypatch):
     assert res.evaluations > 2 and calls == [PluriharmonicFamily]
 
 
-def test_tailed_pairs_solve_on_a_ball():
+def test_tailed_pairs_solve_on_a_ball(monkeypatch):
     # the tails add their polydisk closed form, an upper bound on the ball
     holo = family.explicit(2, {(1, 0): 0.9, (0, 1): 0.8}, tail=family.AnalyticTail(0.5))
     pf = PluriharmonicFamily(holo=holo, anti=family.explicit(2, {(1, 1): 0.6}))
@@ -586,10 +642,11 @@ def test_tailed_pairs_solve_on_a_ball():
     assert crossing == pytest.approx(1.0, abs=1e-9)
     # with no explicit terms the ball adds the same tail as the polydisk; its
     # solve starts at the tails' first-block crossing, so only the steps differ
-    ball = pluriharmonic_radius(TAILS_ONLY_PAIR, 1.0, 2.0)
-    polydisk = pluriharmonic_radius(TAILS_ONLY_PAIR, 1.0, math.inf)
+    solve = pluriharmonic_radius
+    ball, _, ball_seen = recorded_solve(monkeypatch, solve, TAILS_ONLY_PAIR, 1.0, 2.0)
+    polydisk, _, polydisk_seen = recorded_solve(monkeypatch, solve, TAILS_ONLY_PAIR, 1.0, math.inf)
     assert ball.method == "bisection" and ball.value == polydisk.value
-    assert ball.evaluations < polydisk.evaluations
+    assert TOP_RADIUS not in ball_seen and next(iter(polydisk_seen)) == TOP_RADIUS
     for r in [0.2, ball.value, 0.9]:
         assert evaluator(TAILS_ONLY_PAIR, 1.0, DomainSpec.lt_ball(2.0))(r).value == (
             evaluator(TAILS_ONLY_PAIR, 1.0, POLYDISK)(r).value
