@@ -39,10 +39,22 @@ log(alpha_i/|alpha|), the log of the term's maximum on the unit ball, with
 its degree |alpha|, and a row per tail for its first degree block, C(n+K,
 K+1) (v r)^(p(K+1)) with K the truncation degree.  Each row is a term of S
 that equals e^L r^(p|alpha|), so the smallest radius where one term's AM-GM
-maximum reaches 1 (a tail's first block included) has S >= 1; it is the
-solver's start, and S crosses 1 at or below it.  A single term and a pure
-degree-1 family compile to one homogeneous closed form, S = A r^(pk) with
-maximizer r z0, from the same table.
+maximum reaches 1 (a tail's first block included) has S >= 1; this AM-GM
+start bounds the crossing from above.  A single term and a pure degree-1
+family compile to one homogeneous closed form, S = A r^(pk) with maximizer
+r z0, from the same table; a degree-1 form's own crossing A^(-1/p) lies
+below every row's, and is its start.
+
+The solver's start on the optimizer path is the crossing of one joint
+pass.  With u = r^t x, x on the unit simplex, S(r) is the sup over x of
+G(r, x) = sum c_alpha r^(p|alpha|) x^(s alpha) plus the tail, s = p/t, so
+the radius is the least crossing with 1 over x.  The pass runs the
+optimizer's update on all starts from the AM-GM start (from r = 1 where
+there is none) and, after each update, moves r to the Newton point in log
+r of the best row's G + tail, rescaling the rows to the new budget r^t.
+Once that point stops moving left, the start is the first float where the
+best row's G + tail reaches 1: a feasible point there gives a lower bound
+on S.  A pass that fails leaves the AM-GM start.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
@@ -54,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, TailDivergenceError
 
 # The multistart ball optimizer: number of starts, update cap, and the
 # relative change below which `PATIENCE` updates in a row count as converged.
@@ -148,13 +160,19 @@ def _start_directions(n, alphas, coeffs, seed, n_starts):
 def _ball_path(f, p, t, seed):
     """(path, optimizes, start): path(r) -> (value, slope, maximizer) of
     the explicit terms over the l_t ball of radius r, whether path(r) runs
-    the optimizer at r > 0, and the smallest crossing exp(-L / (p k)) in the
-    AM-GM table (see the module docstring); inf where none lies in (0, 1)
-    as a float.  A single term and a pure degree-1 family compile to one
-    closed form (scale, k, z0): S = scale r^(pk), with maximizer r z0; the
-    rest runs the multistart optimizer, all starts in one batch.  Where no
-    start converges, the slope is None and the maximizer the best point
-    found, or None."""
+    the optimizer at r > 0, and start() -> a radius in (0, 1) where S >= 1
+    is known, or inf.  A single term and a pure degree-1 family compile to
+    one closed form (scale, k, z0): S = scale r^(pk), with maximizer r z0;
+    the rest runs the multistart optimizer, all starts in one batch.  Where
+    no start converges, the slope is None and the maximizer the best point
+    found, or None.
+
+    The AM-GM start is the smallest crossing exp(-L / (p k)) in the AM-GM
+    table (see the module docstring), or a degree-1 closed form's own
+    crossing scale^(-1/p); inf where none lies in (0, 1) as a float.  On
+    the optimizer path, start() runs the joint pass of `_simplex_maximizer`
+    from there (from r = 1 where there is none), and keeps the AM-GM start
+    where the pass fails or meets TailDivergenceError."""
     alphas, coeffs = _terms(f, p)
     n = f.dimension
     degrees = alphas.sum(axis=1)
@@ -162,8 +180,7 @@ def _ball_path(f, p, t, seed):
     entropy = (alphas * np.log(np.maximum(alphas, 1.0) / degrees[:, None])).sum(axis=1)
     log_max = np.log(coeffs) + (p / t) * entropy
     log_starts = [*(-log_max / (p * degrees)), *(-log_c / (p * k) for log_c, k in f.tail_lead(p))]
-    start = math.exp(min([0.0, *log_starts]))
-    form = maximize = None
+    form = maximize = crossing = None
     if len(coeffs) == 1:
         # weighted AM-GM: u_i = r^t alpha_i / k
         k = float(degrees[0])
@@ -184,8 +201,20 @@ def _ball_path(f, p, t, seed):
             # convex: the best vertex, the first one of a tie
             i = np.argmax(c)
             form = float(c[i]), 1.0, np.eye(1, n, i)[0]
+        # S = scale r^p crosses 1 below every single term's AM-GM crossing
+        log_starts.append(-math.log(form[0]) / p)
     elif len(coeffs) > 1:
-        maximize = _simplex_maximizer(alphas, coeffs, p / t, seed)
+        maximize, crossing = _simplex_maximizer(alphas, coeffs, p / t, seed)
+    amgm = math.exp(min([0.0, *log_starts]))
+
+    def start():
+        r = amgm
+        if crossing is not None:
+            try:
+                r = min(r, crossing(r, t, lambda x: f.powered_tail(p, x)))
+            except TailDivergenceError:
+                pass  # the AM-GM start stands
+        return r if 0.0 < r < 1.0 else math.inf
 
     def path(r):
         if len(coeffs) == 0 or r == 0.0:
@@ -200,13 +229,15 @@ def _ball_path(f, p, t, seed):
         # envelope theorem: at the maximizer, dS/d(log r) = sum p |alpha| term_alpha
         return value, p * float(terms @ degrees), tuple(float(ui) ** (1.0 / t) for ui in u)
 
-    return path, maximize is not None, start if 0.0 < start < 1.0 else math.inf
+    return path, maximize is not None, start
 
 
 def _simplex_maximizer(alphas, coeffs, s, seed):
-    """maximize(budget) -> (value, u, per-term values at u, converged) for
-    F(u) = sum_k c_k prod_i u_i^(s alpha_ki) on the simplex sum u_i = budget;
-    the per-term values are None when no start converged.
+    """(maximize, crossing): maximize(budget) -> (value, u, per-term values
+    at u, converged) for F(u) = sum_k c_k prod_i u_i^(s alpha_ki) on the
+    simplex sum u_i = budget, the per-term values None when no start
+    converged; crossing(top, t, tail) -> the joint pass's start (see
+    `crossing`).  Both advance the rows by the same `update`.
 
     Every start takes updates u <- T(u) = budget w / sum(w), where
     w_i = u_i dF/du_i, or a safeguarded Newton point of u = T(u) when it
@@ -244,6 +275,7 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         droppable = ~((e_used > 0.0) & (e_used < 1.0)).any(axis=0)
         term_weights = e_used.sum(axis=1)  # sum(w) = mono @ term_weights
     directions = _start_directions(n, alphas, coeffs, seed, N_STARTS)
+    degree_weights = exponents.sum(axis=1)  # s |alpha|: sum(w) = mono @ degree_weights
 
     def objective(u):
         """(objectives, per-term monomials) of every row of u, from one exp/log pass."""
@@ -328,6 +360,31 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         points[:, used] = v
         return usable, points
 
+    def update(u, mono, budget):
+        """One update of every row on the simplex sum u_i = budget: (total_w,
+        u, values, monomials), with total_w = sum(w) of the rows it starts
+        from.  Each row takes its Newton or face point where that is usable
+        and at least as good as its plain point T(u), and T(u) otherwise."""
+        # w_i = u_i * dF/du_i
+        w = mono @ exponents
+        total_w = w.sum(axis=1)
+        plain = budget * w / total_w[:, None]
+        step = newton_points(u, mono, w, total_w, plain, budget) if newton else None
+        if step is None:
+            return (total_w, plain, *objective(plain))
+        # both candidates of every row in one pass: row i is its plain
+        # point, row k + i its Newton point
+        usable, points = step
+        values, monos = objective(np.concatenate((plain, points)))
+        k = len(plain)
+        take = usable & (values[k:] >= values[:k])
+        return (
+            total_w,
+            np.where(take[:, None], points, plain),
+            np.where(take, values[k:], values[:k]),
+            np.where(take[:, None], monos[k:], monos[:k]),
+        )
+
     def maximize(budget):
         u = budget * directions
         final_u = np.empty_like(u)
@@ -347,36 +404,20 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         # unconverged, so the warnings say nothing
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cur, mono = objective(u)
-            for update in range(MAX_ITER + 1):
-                # w_i = u_i * dF/du_i.  Finished rows stay in every product,
-                # whose row count is then fixed, and their later iterates
-                # are not read
-                w = mono @ exponents
-                total_w = w.sum(axis=1)
-                if not total_w.min() > 0.0 or update == MAX_ITER:
+            for count in range(MAX_ITER + 1):
+                # finished rows stay in every product, whose row count is
+                # then fixed, and their later iterates are not read
+                total_w, next_u, next_cur, next_mono = update(u, mono, budget)
+                if not total_w.min() > 0.0 or count == MAX_ITER:
                     # a row stops unconverged when its weights vanish or
                     # turn nan (after an overflow), or once MAX_ITER updates
                     # are spent
-                    stop = going & ~(total_w > 0.0) if update < MAX_ITER else going
+                    stop = going & ~(total_w > 0.0) if count < MAX_ITER else going
                     finish(stop)
                     if not going.any():
                         break
-                plain = budget * w / total_w[:, None]
                 prev = cur
-                step = newton_points(u, mono, w, total_w, plain, budget) if newton else None
-                if step is None:
-                    u = plain
-                    cur, mono = objective(u)
-                else:
-                    # both candidates of every row in one pass: row i is
-                    # its plain point, row k + i its Newton point
-                    usable, points = step
-                    values, monos = objective(np.concatenate((plain, points)))
-                    k = len(plain)
-                    take = usable & (values[k:] >= values[:k])
-                    u = np.where(take[:, None], points, plain)
-                    cur = np.where(take, values[k:], values[:k])
-                    mono = np.where(take[:, None], monos[k:], monos[:k])
+                u, cur, mono = next_u, next_cur, next_mono
                 # objectives are nonnegative, so |cur| needs no abs
                 moved = np.abs(cur - prev)
                 calm_now = moved <= REL_TOL * np.maximum(cur, 1.0)
@@ -413,16 +454,73 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         _, terms = objective(best_u[None, :])
         return best_value, best_u, terms[0], True
 
-    return maximize
+    def crossing(top, t, tail):
+        """The joint pass from radius `top`, above which the crossing is
+        not sought: the first float radius, at most top, where the best
+        row's G(r) + tail(r)[0] reaches 1, or top where it does not reach
+        1 below; inf where the pass does not converge within MAX_ITER
+        updates or turns non-finite.  tail(r) -> (value, slope in log r)
+        may raise TailDivergenceError.
+
+        G(r) is F at the row's point on sum u_i = r^t, so the rows take
+        `update` at the common budget r^t, as in `maximize`.  After each
+        update the Newton point, in log r, of the best row's G(r) + tail(r)
+        gives the next r, capped at top, and the rows are rescaled to its
+        budget.  From the right of the crossing the Newton points fall
+        monotonically onto it as the rows improve, so the pass stops once
+        the point moves left by at most STILL_ULPS ulps.  F is s |alpha|
+        homogeneous in the budget, so the slope of G in log r is t sum(w)
+        at the row.
+        """
+        r, newton = top, math.inf
+        budget = r**t
+        u = budget * directions
+        _, mono = objective(u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(MAX_ITER):
+                _, u, cur, mono = update(u, mono, budget)
+                best = int(np.argmax(np.where(cur >= 0.0, cur, -1.0)))  # nan rows lose
+                tail_value, tail_slope = tail(r)
+                value = float(cur[best]) + tail_value
+                slope = t * float(mono[best] @ degree_weights) + tail_slope
+                if not (0.0 < value < math.inf and 0.0 < slope < math.inf):
+                    return math.inf
+                last, newton = newton, r * math.exp(min(-math.log(value) * value / slope, 709.0))
+                if newton >= last - STILL_ULPS * math.ulp(r):
+                    break
+                r = min(newton, top)
+                scaled = r**t
+                u *= scaled / budget
+                budget = scaled
+                _, mono = objective(u)
+            else:
+                return math.inf
+            # G of the best row's direction, a feasible point at every r,
+            # so S >= G + tail there
+            x = u[best] / u[best].sum()
+
+            def lower(r):
+                return float(objective((r**t * x)[None, :])[0][0]) + tail(r)[0]
+
+            r = min(newton, top)
+            while r < top and lower(r) < 1.0:
+                r = math.nextafter(r, 1.0)
+            while lower(below := math.nextafter(r, 0.0)) >= 1.0:
+                r = below
+        return r
+
+    return maximize, crossing
 
 
 def evaluator(f, p, domain, seed=0):
     """evaluate(r) -> the majorant over the domain of radius r; no
-    evaluation starts from an earlier one.  `evaluate.start` is a radius
-    in (0, 1) where S >= 1 is known without evaluating: on the ball the
-    smallest radius where one term's AM-GM maximum reaches 1, a tail's
-    first degree block counted as a term; inf where none is known, on the
-    polydisk and without terms or tail.
+    evaluation starts from an earlier one.  `evaluate.start()` is a radius
+    in (0, 1) where S >= 1 is known, or inf where none is known: on the
+    polydisk, and without terms or tail.  On the ball it is the joint
+    pass's crossing on the optimizer path (see the module docstring) and
+    the AM-GM start elsewhere, a degree-1 form's crossing included; it
+    depends on (f, p, domain, seed) alone, and is computed only when
+    called, so a single evaluation runs no pass.
 
     The family's `powered_tail(p, r)` is its tail's polydisk closed form:
     exact on the polydisk, an upper bound on the ball.  So a value is
@@ -434,7 +532,7 @@ def evaluator(f, p, domain, seed=0):
         raise ParameterError(f"need p > 0 and finite, got {p}")
     polydisk = math.isinf(domain.t)
     if polydisk:
-        path, optimizes, start = _polydisk_path(f, p), False, math.inf
+        path, optimizes, start = _polydisk_path(f, p), False, lambda: math.inf
     else:
         path, optimizes, start = _ball_path(f, p, domain.t, seed)
 

@@ -6,10 +6,14 @@ The root finder works on g(y) = log S(e^y).  S is a positive sum of powers
 of r (on the ball, a supremum of such sums), so g is convex and increasing,
 and Newton steps taken from the right end of the bracket fall monotonically
 onto the crossing.  That right end is a start where S >= 1 is known: on the
-ball, the smallest radius where one term's AM-GM maximum reaches 1, and
-TOP_RADIUS elsewhere.  The bracket S(lo) <= 1 < S(hi) is kept throughout,
-with both ends evaluated, and closed by one probe on the far side of the
-converged Newton point; the loop stops at a width relative to the radius.
+ball, the evaluator's start (the crossing of the joint radius-and-maximizer
+pass on the optimizer path, a closed form's crossing or a term's AM-GM
+crossing elsewhere), and TOP_RADIUS on the polydisk.  A ball start from the
+pass lies within a few ulps of the crossing, so the root finder only
+closes the bracket there.  The bracket S(lo) <= 1 < S(hi) is kept
+throughout, with both ends evaluated, and closed by one probe on the far
+side of the converged Newton point; the loop stops at a width relative to
+the radius.
 """
 
 import math
@@ -148,11 +152,15 @@ def _newton_point(r, value, slope):
 def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
     """Per-family radius: the crossing of S_p(f, r, domain) through 1.
 
-    The root finder starts at the evaluator's `start` where it lies below
-    TOP_RADIUS (on the ball, the smallest radius where one term's AM-GM
-    maximum reaches 1), and at TOP_RADIUS otherwise.  A family with no positive coefficient of
-    degree >= 1 has S = 0 and no start, so its first evaluation, at
-    TOP_RADIUS, returns `saturated_at_one`.
+    The root finder starts at the evaluator's `start()` where it lies
+    below TOP_RADIUS, and at TOP_RADIUS otherwise.  On the ball's optimizer
+    path that start is the first float where one feasible point's value
+    reaches 1, found by a joint pass over the radius and the maximizer
+    once per solve, so S >= 1 there up to rounding and the crossing lies
+    within a few ulps below; elsewhere on the ball it is a closed form's or
+    a term's AM-GM crossing.  No evaluation starts from the pass.  A family
+    with no positive coefficient of degree >= 1 has S = 0 and no start, so
+    its first evaluation, at TOP_RADIUS, returns `saturated_at_one`.
     """
     majorant = maj.evaluator(f, p, domain, seed)
 
@@ -160,7 +168,7 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
         mv = majorant(r)
         return mv.value, mv.slope
 
-    return bisect_unit_crossing(evaluate, tol=tol, start=min(TOP_RADIUS, majorant.start))
+    return bisect_unit_crossing(evaluate, tol=tol, start=min(TOP_RADIUS, majorant.start()))
 
 
 def exact_h2_radius(n, p):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import bounds, family, radius
+from bohrlab import bounds, cli, family, majorant, radius
 from bohrlab.bounds import CertificateInput, certified_lower_bound
 from bohrlab.errors import ParameterError, TailDivergenceError
 from bohrlab.majorant import (
@@ -176,7 +176,7 @@ def test_mixed_ball_families_solve_in_few_evaluations():
     for f, p, t in mixed_ball_cases(7, 20):
         res = solve_bohr_radius(f, p, DomainSpec.lt_ball(t))
         lo, hi = res.bracket
-        assert res.method == "bisection" and res.evaluations <= 8
+        assert res.method == "bisection" and res.evaluations <= 3
         assert hi - lo <= 1e-12 * hi and lo <= res.value <= hi
         assert powered_majorant_ball(f, p, t, lo).value <= 1.0
         assert powered_majorant_ball(f, p, t, hi).value > 1.0
@@ -383,7 +383,7 @@ def test_tail_lead_is_the_first_block_of_the_tail():
     pair = TAILS_ONLY_PAIR
     rows = pair.tail_lead(1.0)
     assert rows == pair.holo.tail_lead(1.0) + pair.anti.tail_lead(1.0) and len(rows) == 2
-    start = evaluator(pair, 1.0, DomainSpec.lt_ball(2.0)).start
+    start = evaluator(pair, 1.0, DomainSpec.lt_ball(2.0)).start()
     assert start == min(math.exp(-a / k) for a, k in rows) < 1.0
 
 
@@ -409,6 +409,109 @@ def test_started_solves_take_no_more_evaluations_than_from_top_radius():
     assert total < total_from_top
 
 
+def test_ball_solves_start_on_the_solved_radius(monkeypatch):
+    # the joint pass, or a closed form's own crossing, puts the start of
+    # every ball solve with explicit terms on the crossing; tails alone
+    # start at their first block's crossing
+    for solve, args, _ in started_ball_solves():
+        if not args[0].powered_terms(args[1]):
+            continue
+        res, start, _ = recorded_solve(monkeypatch, solve, *args)
+        assert res.method == "bisection" and abs(start - res.value) <= 1e-9 * res.value, args
+
+
+# The parent solves of started_ball_solves() cases 0, 7 and 10 (mixed;
+# case 10 has no single-term AM-GM crossing inside the ball), 20 (tailed)
+# and 21 (a pluriharmonic pair), all from the AM-GM start: (value,
+# residual, bracket, evaluations).
+AM_GM_SOLVES = {
+    0: (0.5773502686122756, 4.440892098500626e-16, (0.5773502686122755, 0.5773502686124855), 4),
+    7: (0.26608194161760534, 0.0, (0.26608194161753884, 0.26608194161760546), 7),
+    10: (0.39518636649516, 0.0, (0.3951863664950613, 0.39518636649516375), 7),
+    20: (0.5791050997239935, 2.220446049250313e-16, (0.5791050997238487, 0.5791050997239936), 7),
+    21: (0.6897397549769407, 2.220446049250313e-16, (0.6897397549769406, 0.689739754977113), 7),
+}
+
+
+def am_gm_start(f, p, t):
+    """The smallest single-term AM-GM crossing, read off the terms; inf
+    where none lies in (0, 1)."""
+    crossings = []
+    for alpha, c in f.powered_terms(p):
+        k = sum(alpha)
+        log_max = math.log(c) + (p / t) * sum(a * math.log(a / k) for a in alpha if a)
+        crossings.append(math.exp(-log_max / (p * k)))
+    return min([x for x in crossings if x < 1.0], default=math.inf)
+
+
+def test_a_pass_that_cannot_converge_falls_back_to_the_am_gm_start(monkeypatch):
+    # the pass's cap, MAX_ITER, is 0 while the start is computed, and the
+    # evaluations keep theirs
+    real_evaluator = majorant.evaluator
+
+    def capped(*args):
+        evaluate = real_evaluator(*args)
+        pass_start = evaluate.start
+
+        def start():
+            with monkeypatch.context() as m:
+                m.setattr(majorant, "MAX_ITER", 0)
+                return pass_start()
+
+        evaluate.start = start
+        return evaluate
+
+    cases = started_ball_solves()
+    for i, (value, residual, bracket, evaluations) in AM_GM_SOLVES.items():
+        solve, args, _ = cases[i]
+        t = args[2].t if solve is solve_bohr_radius else args[2]
+        monkeypatch.setattr(majorant, "evaluator", capped)
+        res, start, _ = recorded_solve(monkeypatch, solve, *args)
+        assert start == pytest.approx(min(TOP_RADIUS, am_gm_start(args[0], args[1], t)), rel=1e-15)
+        assert res == RadiusResult(value, "bisection", residual, bracket, evaluations), i
+
+
+def counting_passes(monkeypatch):
+    """A list that gains an entry each time a joint pass runs."""
+    passes = []
+    real = majorant._simplex_maximizer
+
+    def counting(*args):
+        maximize, crossing = real(*args)
+
+        def counted(*pass_args):
+            passes.append(1)
+            return crossing(*pass_args)
+
+        return maximize, counted
+
+    monkeypatch.setattr(majorant, "_simplex_maximizer", counting)
+    return passes
+
+
+def test_one_shot_evaluations_run_no_pass(monkeypatch):
+    f, p, t = mixed_ball_cases(7, 1)[0]
+    passes = counting_passes(monkeypatch)
+    powered_majorant_ball(f, p, t, 0.5)
+    evaluator(f, p, DomainSpec.lt_ball(t))(0.5)
+    argv = ["maximize-ball", "--p", str(p), "--t", str(t), "--r", "0.5"]
+    assert cli.main(argv, stdin_text=family.to_json(f)) == 0
+    assert passes == []
+    solve_bohr_radius(f, p, DomainSpec.lt_ball(t))
+    assert passes == [1]
+
+
+def test_evaluators_of_one_family_give_one_start():
+    # the start depends on (f, p, t, seed) alone, not on earlier evaluations
+    for solve, args, _ in started_ball_solves():
+        f, p = args[:2]
+        domain = args[2] if solve is solve_bohr_radius else DomainSpec.lt_ball(args[2])
+        first = evaluator(f, p, domain, 3)
+        second = evaluator(f, p, domain, 3)
+        second(0.3)
+        assert first.start() == second.start() == first.start(), args
+
+
 def test_polydisk_solves_start_at_top_radius():
     # the polydisk takes no start, so its solves are those from TOP_RADIUS
     cases = [
@@ -417,7 +520,7 @@ def test_polydisk_solves_start_at_top_radius():
         (family.extremal_g(10**5, 1.3), 1.3),
     ]
     for f, p in cases:
-        assert evaluator(f, p, POLYDISK).start == math.inf
+        assert evaluator(f, p, POLYDISK).start() == math.inf
         assert solve_bohr_radius(f, p, POLYDISK) == solve_from_top_radius(f, p, POLYDISK)
 
 
