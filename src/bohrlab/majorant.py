@@ -30,8 +30,11 @@ starts advance together as the rows of one array.  A row stops after
 `PATIENCE` updates in a row within `REL_TOL`, and, where Newton points
 are tried, also after `STILL` updates in a row that each move its value
 by at most `STILL_ULPS` ulps; rows at face optima stop by this rule as
-well.  A row that stops has its iterate and value recorded at that update
-and stays in the array, so every product has `N_STARTS` rows.
+well.  There a point with one coordinate above the 1e-300 floor of the
+logs is pinned to that vertex of the simplex, b there exactly, so that a
+row at a vertex optimum does not move by an ulp at every update.  A row
+that stops has its iterate and value recorded at that update and stays
+in the array, so every product has `N_STARTS` rows.
 
 On the ball the path is compiled around one AM-GM table, built once per
 evaluator: a row per explicit term, L = log c + (p/t) sum_i alpha_i
@@ -52,9 +55,13 @@ the radius is the least crossing with 1 over x.  The pass runs the
 optimizer's update on all starts from the AM-GM start (from r = 1 where
 there is none) and, after each update, moves r to the Newton point in log
 r of the best row's G + tail, rescaling the rows to the new budget r^t.
-Once that point stops moving left, the start is the first float where the
-best row's G + tail reaches 1: a feasible point there gives a lower bound
-on S.  A pass that fails leaves the AM-GM start.
+Once that point stops moving left, the start is the witness r0: the first
+float where the best row's G + tail is strictly above 1.  That row's point
+is feasible there, so S(r0) >= G + tail > 1, and the solver takes r0 as
+the right end of its bracket without evaluating S there: `start()` hands
+on that value and its slope.  A pass that fails, or whose row does not
+pass 1 by the AM-GM start (or within `STILL_ULPS` floats past it), leaves
+the AM-GM start, with no value known there.
 
 Every value comes with its slope dS/d(log r).  A term of degree k scales
 as r^(pk), so its slope is p k times the term; on the ball the envelope
@@ -160,8 +167,9 @@ def _start_directions(n, alphas, coeffs, seed, n_starts):
 def _ball_path(f, p, t, seed):
     """(path, optimizes, start): path(r) -> (value, slope, maximizer) of
     the explicit terms over the l_t ball of radius r, whether path(r) runs
-    the optimizer at r > 0, and start() -> a radius in (0, 1) where S >= 1
-    is known, or inf.  A single term and a pure degree-1 family compile to
+    the optimizer at r > 0, and start() -> (a radius in (0, 1) where S >= 1
+    is known, or inf; the (value, slope) of a feasible point there, or
+    None).  A single term and a pure degree-1 family compile to
     one closed form (scale, k, z0): S = scale r^(pk), with maximizer r z0;
     the rest runs the multistart optimizer, all starts in one batch.  Where
     no start converges, the slope is None and the maximizer the best point
@@ -171,8 +179,9 @@ def _ball_path(f, p, t, seed):
     table (see the module docstring), or a degree-1 closed form's own
     crossing scale^(-1/p); inf where none lies in (0, 1) as a float.  On
     the optimizer path, start() runs the joint pass of `_simplex_maximizer`
-    from there (from r = 1 where there is none), and keeps the AM-GM start
-    where the pass fails or meets TailDivergenceError."""
+    from there (from r = 1 where there is none), and returns its witness
+    with the value and slope there; it keeps the AM-GM start, with None,
+    where the pass finds no witness or meets TailDivergenceError."""
     alphas, coeffs = _terms(f, p)
     n = f.dimension
     degrees = alphas.sum(axis=1)
@@ -208,13 +217,14 @@ def _ball_path(f, p, t, seed):
     amgm = math.exp(min([0.0, *log_starts]))
 
     def start():
-        r = amgm
+        witness = None
         if crossing is not None:
             try:
-                r = min(r, crossing(r, t, lambda x: f.powered_tail(p, x)))
+                witness = crossing(amgm, t, lambda x: f.powered_tail(p, x))
             except TailDivergenceError:
                 pass  # the AM-GM start stands
-        return r if 0.0 < r < 1.0 else math.inf
+        r, known = witness or (amgm, None)
+        return (r, known) if 0.0 < r < 1.0 else (math.inf, None)
 
     def path(r):
         if len(coeffs) == 0 or r == 0.0:
@@ -360,23 +370,40 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         points[:, used] = v
         return usable, points
 
+    def pin(points, budget):
+        """points, with each row that has one coordinate above the 1e-300
+        floor of `objective` set to the vertex there: budget exactly, and 0
+        elsewhere.  Rounding puts b(1 +- 1 ulp) on that coordinate, and a
+        row at a vertex optimum would then move its value by a few ulps at
+        every update and miss the `STILL` stop."""
+        above = points > 1e-300
+        if np.count_nonzero(above) < above.size:
+            single = np.count_nonzero(above, axis=1) == 1
+            points[single] = budget * above[single]
+        return points
+
     def update(u, mono, budget):
         """One update of every row on the simplex sum u_i = budget: (total_w,
         u, values, monomials), with total_w = sum(w) of the rows it starts
         from.  Each row takes its Newton or face point where that is usable
-        and at least as good as its plain point T(u), and T(u) otherwise."""
+        and at least as good as its plain point T(u), and T(u) otherwise;
+        where Newton points are tried, both are pinned to a vertex they sit
+        on (`pin`)."""
         # w_i = u_i * dF/du_i
         w = mono @ exponents
         total_w = w.sum(axis=1)
         plain = budget * w / total_w[:, None]
         step = newton_points(u, mono, w, total_w, plain, budget) if newton else None
         if step is None:
-            return (total_w, plain, *objective(plain))
+            points = pin(plain, budget) if newton else plain
+            return (total_w, points, *objective(points))
         # both candidates of every row in one pass: row i is its plain
         # point, row k + i its Newton point
         usable, points = step
-        values, monos = objective(np.concatenate((plain, points)))
         k = len(plain)
+        both = pin(np.concatenate((plain, points)), budget)
+        plain, points = both[:k], both[k:]
+        values, monos = objective(both)
         take = usable & (values[k:] >= values[:k])
         return (
             total_w,
@@ -456,11 +483,14 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
 
     def crossing(top, t, tail):
         """The joint pass from radius `top`, above which the crossing is
-        not sought: the first float radius, at most top, where the best
-        row's G(r) + tail(r)[0] reaches 1, or top where it does not reach
-        1 below; inf where the pass does not converge within MAX_ITER
-        updates or turns non-finite.  tail(r) -> (value, slope in log r)
-        may raise TailDivergenceError.
+        not sought: (r0, (value, slope)), the witness r0 with the best
+        row's G + tail and its slope in log r there.  r0 is the first float
+        radius where G(r) + tail(r)[0] is strictly above 1.  Where G rounds
+        to 1 or just below it at top (a row at the maximizer of the term
+        whose AM-GM maximum reaches 1 there), r0 may lie up to STILL_ULPS
+        floats past top.  None where the pass does not converge within
+        MAX_ITER updates, turns non-finite, or finds no such r0.  tail(r)
+        -> (value, slope in log r) may raise TailDivergenceError.
 
         G(r) is F at the row's point on sum u_i = r^t, so the rows take
         `update` at the common budget r^t, as in `maximize`.  After each
@@ -470,7 +500,8 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
         monotonically onto it as the rows improve, so the pass stops once
         the point moves left by at most STILL_ULPS ulps.  F is s |alpha|
         homogeneous in the budget, so the slope of G in log r is t sum(w)
-        at the row.
+        at the row.  The row's point scaled to r0 is feasible, so S(r0) >=
+        value > 1: r0 is a right end of the bracket without an evaluation.
         """
         r, newton = top, math.inf
         budget = r**t
@@ -484,7 +515,7 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                 value = float(cur[best]) + tail_value
                 slope = t * float(mono[best] @ degree_weights) + tail_slope
                 if not (0.0 < value < math.inf and 0.0 < slope < math.inf):
-                    return math.inf
+                    return None
                 last, newton = newton, r * math.exp(min(-math.log(value) * value / slope, 709.0))
                 if newton >= last - STILL_ULPS * math.ulp(r):
                     break
@@ -494,33 +525,46 @@ def _simplex_maximizer(alphas, coeffs, s, seed):
                 budget = scaled
                 _, mono = objective(u)
             else:
-                return math.inf
+                return None
             # G of the best row's direction, a feasible point at every r,
             # so S >= G + tail there
             x = u[best] / u[best].sum()
 
             def lower(r):
-                return float(objective((r**t * x)[None, :])[0][0]) + tail(r)[0]
+                """(G + tail, its slope in log r) at r x^(1/t)."""
+                values, terms = objective((r**t * x)[None, :])
+                tail_value, tail_slope = tail(r)
+                slope = t * float(terms[0] @ degree_weights) + tail_slope
+                return float(values[0]) + tail_value, slope
 
             r = min(newton, top)
-            while r < top and lower(r) < 1.0:
+            value, slope = lower(r)
+            past = 0  # floats stepped past top
+            while value <= 1.0 and past < STILL_ULPS:
+                past += r >= top
                 r = math.nextafter(r, 1.0)
-            while lower(below := math.nextafter(r, 0.0)) >= 1.0:
-                r = below
-        return r
+                value, slope = lower(r)
+            if not value > 1.0:
+                return None
+            while (below := lower(math.nextafter(r, 0.0)))[0] > 1.0:
+                r = math.nextafter(r, 0.0)
+                value, slope = below
+        return r, (value, slope)
 
     return maximize, crossing
 
 
 def evaluator(f, p, domain, seed=0):
     """evaluate(r) -> the majorant over the domain of radius r; no
-    evaluation starts from an earlier one.  `evaluate.start()` is a radius
-    in (0, 1) where S >= 1 is known, or inf where none is known: on the
-    polydisk, and without terms or tail.  On the ball it is the joint
-    pass's crossing on the optimizer path (see the module docstring) and
-    the AM-GM start elsewhere, a degree-1 form's crossing included; it
-    depends on (f, p, domain, seed) alone, and is computed only when
-    called, so a single evaluation runs no pass.
+    evaluation starts from an earlier one.  `evaluate.start()` is (r0,
+    known): r0 a radius in (0, 1) where S >= 1 is known, or inf where none
+    is known (on the polydisk, and without terms or tail).  On the ball r0
+    is the joint pass's witness on the optimizer path (see the module
+    docstring), and known is then (value, slope) of its feasible point,
+    with value > 1; elsewhere r0 is the AM-GM start, a degree-1 form's
+    crossing included, and known is None, as it is where the pass finds no
+    witness.  It depends on (f, p, domain, seed) alone, and is computed
+    only when called, so a single evaluation runs no pass.
 
     The family's `powered_tail(p, r)` is its tail's polydisk closed form:
     exact on the polydisk, an upper bound on the ball.  So a value is
@@ -532,7 +576,7 @@ def evaluator(f, p, domain, seed=0):
         raise ParameterError(f"need p > 0 and finite, got {p}")
     polydisk = math.isinf(domain.t)
     if polydisk:
-        path, optimizes, start = _polydisk_path(f, p), False, lambda: math.inf
+        path, optimizes, start = _polydisk_path(f, p), False, lambda: (math.inf, None)
     else:
         path, optimizes, start = _ball_path(f, p, domain.t, seed)
 

@@ -9,11 +9,14 @@ onto the crossing.  That right end is a start where S >= 1 is known: on the
 ball, the evaluator's start (the crossing of the joint radius-and-maximizer
 pass on the optimizer path, a closed form's crossing or a term's AM-GM
 crossing elsewhere), and TOP_RADIUS on the polydisk.  A ball start from the
-pass lies within a few ulps of the crossing, so the root finder only
-closes the bracket there.  The bracket S(lo) <= 1 < S(hi) is kept
-throughout, with both ends evaluated, and closed by one probe on the far
-side of the converged Newton point; the loop stops at a width relative to
-the radius.
+pass is a witness: a feasible point there has value strictly above 1, so
+S > 1 is known without an evaluation, and the start lies within a few
+ulps of the crossing.  The root finder takes it as hi unevaluated and
+probes the float below it first; where S <= 1 there, the bracket is two
+adjacent floats and the solve has evaluated S once.  Elsewhere the
+bracket S(lo) <= 1 < S(hi) is kept throughout, with both ends evaluated
+(a witnessed start aside), and closed by one probe on the far side of the
+converged Newton point; the loop stops at a width relative to the radius.
 """
 
 import math
@@ -46,7 +49,7 @@ def saturated_at_one(evaluations=0):
     return RadiusResult(1.0, "saturated_at_one", 0.0, (TOP_RADIUS, 1.0), evaluations)
 
 
-def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
+def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS, known=None):
     """Largest r in [0,1] with S(r) <= 1, for a nondecreasing S with
     evaluate(r) = (S(r), dS/d(log r)).
 
@@ -62,9 +65,16 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
     majorant, log S is convex in log r, so from the right end every Newton
     point stays right of the crossing and hi falls monotonically onto it.
     The bracket keeps S(lo) <= 1 < S(hi), and both of its ends are
-    evaluated points (lo = 0 aside).  A step is the midpoint of the bracket
-    instead when S or the slope at the last point is not finite, or when
-    the Newton point is not strictly inside (lo, hi).
+    evaluated points (lo = 0 and a known start aside).  A step is the
+    midpoint of the bracket instead when S or the slope at the last point
+    is not finite, or when the Newton point is not strictly inside (lo, hi).
+
+    `known`, where given, is (a lower bound on S(start) strictly above 1,
+    its slope): the start is a witness, and is hi without an evaluation.
+    The first probe is then the float below it, nextafter(start, 0).  Where
+    S <= 1 there, lo and hi are adjacent floats and the result is lo, an
+    evaluated radius, whose residual is read; otherwise the probe is hi and
+    the steps go on from it as from any other point.
 
     Where S(start) <= 1 after all (the bound is attained there, and
     rounding put S on or below 1), start is lo, and TOP_RADIUS stays hi
@@ -98,11 +108,19 @@ def bisect_unit_crossing(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
         return seen[r]
 
     x = start  # the point evaluated last
-    s, slope = safe(x)
+    s, slope = safe(x) if known is None else known
     if s <= 1.0 and x == TOP_RADIUS:
         return saturated_at_one(len(seen))
     lo, hi = (x, TOP_RADIUS) if s <= 1.0 else (0.0, x)
     hi_seen = s > 1.0
+    if known is not None:
+        # the first probe is the float below the known start
+        x = math.nextafter(x, 0.0)
+        s, slope = safe(x)
+        if s <= 1.0:
+            # lo and hi are adjacent floats, and only lo was evaluated
+            return RadiusResult(x, "bisection", abs(s - 1.0), (x, hi), len(seen))
+        hi = x
     while True:
         width = min(tol, REL_WIDTH * hi)
         mid = 0.5 * (lo + hi)
@@ -154,11 +172,12 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
 
     The root finder starts at the evaluator's `start()` where it lies
     below TOP_RADIUS, and at TOP_RADIUS otherwise.  On the ball's optimizer
-    path that start is the first float where one feasible point's value
-    reaches 1, found by a joint pass over the radius and the maximizer
-    once per solve, so S >= 1 there up to rounding and the crossing lies
-    within a few ulps below; elsewhere on the ball it is a closed form's or
-    a term's AM-GM crossing.  No evaluation starts from the pass.  A family
+    path that start is the first float where one feasible point's value is
+    strictly above 1, found by a joint pass over the radius and the
+    maximizer once per solve, so S > 1 there is known and passed on with
+    that value, and the crossing lies within a few ulps below; elsewhere on
+    the ball it is a closed form's or a term's AM-GM crossing.  No
+    evaluation starts from the pass.  A family
     with no positive coefficient of degree >= 1 has S = 0 and no start, so
     its first evaluation, at TOP_RADIUS, returns `saturated_at_one`.
     """
@@ -168,7 +187,10 @@ def solve_bohr_radius(f, p, domain, tol=DEFAULT_TOL, seed=0):
         mv = majorant(r)
         return mv.value, mv.slope
 
-    return bisect_unit_crossing(evaluate, tol=tol, start=min(TOP_RADIUS, majorant.start()))
+    start, known = majorant.start()
+    if start > TOP_RADIUS:
+        start, known = TOP_RADIUS, None  # a value known above TOP_RADIUS says nothing there
+    return bisect_unit_crossing(evaluate, tol=tol, start=start, known=known)
 
 
 def exact_h2_radius(n, p):

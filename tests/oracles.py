@@ -121,11 +121,13 @@ def serial_ball_optimizer(
     of u = T(u) instead when it is finite, strictly positive on those
     coordinates where u is (0 where u is 0) and no worse than T(u), and a
     start also stops after 3 updates in a row that each move its value by
-    at most 4 units in the last place.  Where the Newton point is not
-    positive, the step is retaken on the face that drops each coordinate
-    it drives to <= 0 whose gradient is below the multiplier, and that face
-    point is taken under the same test when the optimality condition for
-    the dropped coordinates holds there.
+    at most 4 units in the last place.  There a plain or Newton point with
+    one coordinate above the 1e-300 floor is set to that vertex: the budget
+    there exactly, 0 elsewhere.  Where the Newton point is not positive,
+    the step is retaken on the face that drops each coordinate it drives
+    to <= 0 whose gradient is below the multiplier, and that face point is
+    taken under the same test when the optimality condition for the
+    dropped coordinates holds there.
 
     Covers families without a tail that reach the optimizer path of
     `powered_majorant_ball`; raises `ConvergenceError` as it does.
@@ -213,6 +215,12 @@ def serial_ball_optimizer(
                 return None
         return point
 
+    def pin(point):
+        """point, or the vertex budget e_i where u_i is its only coordinate
+        above the 1e-300 floor of `evaluate`."""
+        above = point > 1e-300
+        return budget * above if above.sum() == 1 else point
+
     best_value = -1.0
     best_u = None
     converged_any = False
@@ -227,7 +235,9 @@ def serial_ball_optimizer(
                 break
             plain = budget * w / total_w
             newton = newton_point(u, mono, w, total_w, plain) if accelerated else None
-            u = plain
+            u = pin(plain) if accelerated else plain
+            if newton is not None:
+                newton = pin(newton)
             cur, mono = evaluate(u)
             if newton is not None:
                 newton_value, newton_mono = evaluate(newton)

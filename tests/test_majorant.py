@@ -387,6 +387,28 @@ def test_ball_near_face_family_solves_onto_the_crossing(monkeypatch):
         assert below <= 1.0 < above
 
 
+# the t = 1, p = 1 family of the ball benchmark's cell 1 at seed 7: its
+# maximizer is the vertex u = (b, 0, 0), where rounding puts b(1 +- 1 ulp)
+VERTEX_OPTIMUM = family.explicit(
+    3, {(0, 0, 4): 2.0076423051302354, (1, 0, 1): 2.7815256624953126, (3, 0, 0): 2.42613708120452}
+)
+
+
+def test_ball_rows_at_a_vertex_stop_still(monkeypatch):
+    # rows on the vertex are pinned to it, so their value stops moving and
+    # they stop by the STILL rule instead of running on to PATIENCE (63
+    # linear solves before the pin)
+    r = 0.744208949121473
+    solves = counting_linear_solves(monkeypatch)
+    res = powered_majorant_ball(VERTEX_OPTIMUM, 1.0, 1.0, r)
+    monkeypatch.undo()
+    assert len(solves) <= 20
+    assert res.maximizer == (r, 0.0, 0.0)
+    assert res.value == 2.42613708120452 * r**3
+    want, point = serial_ball_optimizer(VERTEX_OPTIMUM, 1.0, 1.0, r, accelerated=True)
+    assert abs(res.value - want) <= 1e-12 * want and point == res.maximizer
+
+
 def padded(f, n):
     """f in the first coordinates of n; the others appear in no term."""
     pad = (0,) * (n - f.dimension)

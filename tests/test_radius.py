@@ -173,6 +173,7 @@ def mixed_ball_cases(seed, count):
 
 
 def test_mixed_ball_families_solve_in_few_evaluations():
+    total = 0
     for f, p, t in mixed_ball_cases(7, 20):
         res = solve_bohr_radius(f, p, DomainSpec.lt_ball(t))
         lo, hi = res.bracket
@@ -180,31 +181,34 @@ def test_mixed_ball_families_solve_in_few_evaluations():
         assert hi - lo <= 1e-12 * hi and lo <= res.value <= hi
         assert powered_majorant_ball(f, p, t, lo).value <= 1.0
         assert powered_majorant_ball(f, p, t, hi).value > 1.0
+        total += res.evaluations
+    assert total <= 35
 
 
 def evaluation_log(monkeypatch, module, run):
-    """(run()'s result, start, [(r, S(r))] in the order evaluated) of the
-    one root finder that run() calls through module."""
+    """(run()'s result, start, the (S, slope) known there or None, [(r,
+    S(r))] in the order evaluated) of the one root finder that run() calls
+    through module."""
     starts, log = [], []
 
-    def recording(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS):
+    def recording(evaluate, tol=DEFAULT_TOL, start=TOP_RADIUS, known=None):
         def record(r):
             s, slope = evaluate(r)
             log.append((r, s))
             return s, slope
 
-        starts.append(start)
-        return bisect_unit_crossing(record, tol=tol, start=start)
+        starts.append((start, known))
+        return bisect_unit_crossing(record, tol=tol, start=start, known=known)
 
     monkeypatch.setattr(module, "bisect_unit_crossing", recording)
     res = run()
     monkeypatch.undo()
-    return res, starts[0], log
+    return res, *starts[0], log
 
 
 def recorded_solve(monkeypatch, solve, *args):
     """(result, start, {r: S(r)} over every evaluation) of one solve."""
-    res, start, log = evaluation_log(monkeypatch, radius, lambda: solve(*args))
+    res, start, _, log = evaluation_log(monkeypatch, radius, lambda: solve(*args))
     return res, start, dict(log)
 
 
@@ -224,7 +228,9 @@ def test_each_radius_is_evaluated_once(monkeypatch):
     ] + [(f, p, ball(t)) for f, p, t in mixed_ball_cases(7, 20)]
     at_an_end = 0
     for f, p, domain in solves:
-        res, _, log = evaluation_log(monkeypatch, radius, lambda: solve_bohr_radius(f, p, domain))
+        res, _, _, log = evaluation_log(
+            monkeypatch, radius, lambda: solve_bohr_radius(f, p, domain)
+        )
         radii = [r for r, _ in log]
         assert len(set(radii)) == len(radii) == res.evaluations, (f, p, domain)
         assert res.residual == abs(evaluator(f, p, domain, 0)(res.value).value - 1.0)
@@ -233,7 +239,7 @@ def test_each_radius_is_evaluated_once(monkeypatch):
     for n in [1, 10, 10**6]:
         for p, q, c in [(1.0, 2.0, 1.0), (0.5, math.inf, 2.0), (1.3, 3.0, 0.7)]:
             cert = CertificateInput(n, p, q, c)
-            res, _, log = evaluation_log(
+            res, _, _, log = evaluation_log(
                 monkeypatch, bounds, lambda: certified_lower_bound(cert, mode="numeric")
             )
             radii = [r for r, _ in log]
@@ -285,16 +291,29 @@ TAILS_ONLY_PAIR = PluriharmonicFamily(
 )
 
 
+def ball_domain(solve, args):
+    """The domain of a started_ball_solves() case."""
+    return args[2] if solve is solve_bohr_radius else DomainSpec.lt_ball(args[2])
+
+
 def test_ball_solves_start_where_s_is_at_least_one(monkeypatch):
     for solve, args, crossing in started_ball_solves():
-        res, start, seen = recorded_solve(monkeypatch, solve, *args)
+        res, start, known, log = evaluation_log(monkeypatch, radius, lambda: solve(*args))
+        seen = dict(log)
         if crossing is not None:
             # a single monomial crosses 1 where its AM-GM maximum does
             assert start == pytest.approx(crossing, rel=1e-15)
             assert res.value == pytest.approx(crossing, rel=1e-13)
         if start == TOP_RADIUS:
             continue  # every term maximum at r = 1 is at most 1
-        assert start < TOP_RADIUS and next(iter(seen)) == start
+        assert start < TOP_RADIUS
+        if known is None:
+            assert next(iter(seen)) == start
+        else:
+            # a start witnessed by the pass is not evaluated in the solve:
+            # its first evaluation is the float below
+            assert start not in seen and next(iter(seen)) == math.nextafter(start, 0.0)
+            seen[start] = evaluator(*args[:2], ball_domain(solve, args), 0)(start).value
         assert seen[start] >= 1.0 - 1e-15
         lo, hi = res.bracket
         assert res.method == "bisection" and lo <= res.value <= hi
@@ -383,7 +402,7 @@ def test_tail_lead_is_the_first_block_of_the_tail():
     pair = TAILS_ONLY_PAIR
     rows = pair.tail_lead(1.0)
     assert rows == pair.holo.tail_lead(1.0) + pair.anti.tail_lead(1.0) and len(rows) == 2
-    start = evaluator(pair, 1.0, DomainSpec.lt_ball(2.0)).start()
+    start, _ = evaluator(pair, 1.0, DomainSpec.lt_ball(2.0)).start()
     assert start == min(math.exp(-a / k) for a, k in rows) < 1.0
 
 
@@ -471,27 +490,56 @@ def test_a_pass_that_cannot_converge_falls_back_to_the_am_gm_start(monkeypatch):
         assert res == RadiusResult(value, "bisection", residual, bracket, evaluations), i
 
 
-def counting_passes(monkeypatch):
-    """A list that gains an entry each time a joint pass runs."""
-    passes = []
+def counting_runs(monkeypatch):
+    """(passes, runs): lists that gain an entry each time a joint pass, or
+    an optimizer run, starts."""
+    passes, runs = [], []
     real = majorant._simplex_maximizer
 
     def counting(*args):
         maximize, crossing = real(*args)
 
-        def counted(*pass_args):
+        def counted_run(*run_args):
+            runs.append(1)
+            return maximize(*run_args)
+
+        def counted_pass(*pass_args):
             passes.append(1)
             return crossing(*pass_args)
 
-        return maximize, counted
+        return counted_run, counted_pass
 
     monkeypatch.setattr(majorant, "_simplex_maximizer", counting)
-    return passes
+    return passes, runs
+
+
+def test_a_witnessed_start_closes_on_the_float_below(monkeypatch):
+    # the pass's feasible point has S > 1 at the start, so the start is hi
+    # unevaluated; where the optimizer's S one float below is <= 1, that
+    # float is lo and the result, and the solve runs the optimizer once
+    closed = 0
+    for solve, args, _ in started_ball_solves():
+        evaluate = evaluator(*args[:2], ball_domain(solve, args))
+        start, known = evaluate.start()
+        if known is None:
+            continue
+        assert known[0] > 1.0 and evaluate(start).value >= 1.0 - 1e-15
+        below = math.nextafter(start, 0.0)
+        if evaluate(below).value > 1.0:
+            continue
+        _, runs = counting_runs(monkeypatch)
+        res = solve(*args)
+        monkeypatch.undo()
+        assert runs == [1], args
+        assert res.bracket == (below, start) and res.value == res.bracket[0]
+        assert res.evaluations == 1
+        closed += 1
+    assert closed >= 10  # 12 of the 22 witnessed starts
 
 
 def test_one_shot_evaluations_run_no_pass(monkeypatch):
     f, p, t = mixed_ball_cases(7, 1)[0]
-    passes = counting_passes(monkeypatch)
+    passes, _ = counting_runs(monkeypatch)
     powered_majorant_ball(f, p, t, 0.5)
     evaluator(f, p, DomainSpec.lt_ball(t))(0.5)
     argv = ["maximize-ball", "--p", str(p), "--t", str(t), "--r", "0.5"]
@@ -505,7 +553,7 @@ def test_evaluators_of_one_family_give_one_start():
     # the start depends on (f, p, t, seed) alone, not on earlier evaluations
     for solve, args, _ in started_ball_solves():
         f, p = args[:2]
-        domain = args[2] if solve is solve_bohr_radius else DomainSpec.lt_ball(args[2])
+        domain = ball_domain(solve, args)
         first = evaluator(f, p, domain, 3)
         second = evaluator(f, p, domain, 3)
         second(0.3)
@@ -520,7 +568,8 @@ def test_polydisk_solves_start_at_top_radius():
         (family.extremal_g(10**5, 1.3), 1.3),
     ]
     for f, p in cases:
-        assert evaluator(f, p, POLYDISK).start() == math.inf
+        start, _ = evaluator(f, p, POLYDISK).start()
+        assert start == math.inf
         assert solve_bohr_radius(f, p, POLYDISK) == solve_from_top_radius(f, p, POLYDISK)
 
 
